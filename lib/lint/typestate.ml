@@ -40,6 +40,9 @@ type hstate = {
   ocol : int;  (** allocation site (C2 anchors here) *)
   mutable phase : phase;
   mutable refs : int option;  (** outstanding references; [None] unknown *)
+  mutable exact : bool;
+      (** [refs] was counted from primitives only: a callee summary says
+          whether a helper sends or frees, not how many times *)
   mutable freed_doms : SS.t;  (** syntactic [~dom] strings already freed *)
   mutable src_dom : string option;  (** syntactic [~src] of the send *)
   mutable escaped : bool;
@@ -72,6 +75,7 @@ let new_handle ctx ~origin ~volatile ~loc =
       ocol = col;
       phase = (match origin with O_local -> P_fresh | O_borrowed _ -> P_held);
       refs = (match origin with O_local -> Some 1 | O_borrowed _ -> None);
+      exact = true;
       freed_doms = SS.empty;
       src_dom = None;
       escaped = false;
@@ -624,6 +628,7 @@ and apply_summary ctx e d argvals =
                 else Summary.bot_param
               in
               use ctx ~loc:a.pexp_loc h;
+              if ps.Summary.sends || ps.Summary.consumes then h.exact <- false;
               if ps.Summary.reads then begin
                 record ctx h (fun p -> { p with Summary.reads = true });
                 if h.phase = P_sent && h.volatile then
@@ -759,12 +764,26 @@ let analyze_def ~cg ~lookup ~emit ~findings (d : Callgraph.def) =
   if emit then
     Hashtbl.iter
       (fun _ h ->
-        if h.origin = O_local && (not h.escaped) && not h.consumed then
+        let leak msg =
           findings :=
-            F.v ~rule:"C2" ~file:ctx.file ~line:h.oline ~col:h.ocol
+            F.v ~rule:"C2" ~file:ctx.file ~line:h.oline ~col:h.ocol msg
+            :: !findings
+        in
+        if h.origin = O_local && not h.escaped then
+          if not h.consumed then
+            leak
               "fbuf allocated here is relinquished on no path and never \
                handed off: the reference is leaked on every exit"
-            :: !findings)
+          else
+            match h.refs with
+            | Some n when n > 0 && h.exact ->
+                leak
+                  (Printf.sprintf
+                     "fbuf allocated here still holds %d reference(s) on \
+                      every exit: a domain it was sent to never \
+                      relinquishes its reference"
+                     n)
+            | _ -> ())
       ctx.handles;
   { Summary.params = Array.copy ctx.psums; ret }
 

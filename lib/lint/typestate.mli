@@ -12,7 +12,9 @@
       [Transfer.free] from a domain that already freed.
     - {b C2 — leak on all paths}: a locally allocated handle that is
       relinquished on {e no} path, never stored/captured/passed to an
-      unknown callee, and not returned. (L4 keeps catching the
+      unknown callee, and not returned — or one whose sends and frees,
+      all made directly in the body, leave references outstanding on
+      every exit (a receiver that never frees). (L4 keeps catching the
       some-but-not-all-paths asymmetry; C2 is its interprocedural
       completion for the no-path case.)
     - {b C3 — write after send} (paper section 3.1): the originator
