@@ -1,4 +1,4 @@
-.PHONY: all build test check lint model-check bench bench-json stats spans bench-diff bench-trend top clean ablation-tlb ablation-policy
+.PHONY: all build test check lint model-check bench bench-json stats spans bench-trend top clean ablation-tlb ablation-policy
 
 all: build
 
@@ -14,7 +14,7 @@ check:
 	dune build @all && dune runtest
 
 # Static fbuf-discipline analyzer: rules L1-L7 over the sources plus the
-# Layer-B abstract interpreter over the built-in data-path specs. The
+# interprocedural typestate analysis (C1-C4) over the whole tree. The
 # shipped tree is clean, so the committed baseline is empty; a non-empty
 # baseline only papers over known findings while a fix is in flight.
 lint:
@@ -31,8 +31,8 @@ bench:
 
 # Full-quota benchmark run that also writes the machine-readable
 # trajectory (one JSON object per benchmark: name, ns_per_run, r_square,
-# date). BENCH_PR10.json is the committed snapshot for this PR;
-# BENCH_PR8.json is the previous one the regression gate diffs against.
+# date). BENCH_PR10.json is the latest committed snapshot; bench-trend
+# gates it against BENCH_PR8.json and against the whole series.
 bench-json:
 	dune exec bench/main.exe -- --json BENCH_PR10.json
 
@@ -49,20 +49,17 @@ stats:
 spans:
 	dune exec bin/fbufs_cli.exe -- spans --out spans.jsonl --chrome spans-chrome.json
 
-# The bench-trajectory regression gate: the committed snapshot of this
-# PR against the previous one, same-name benchmarks joined, nonzero exit
-# when any regresses beyond tolerance (or disappears). Both snapshots
-# were collected on the same machine with make bench-json, so the deltas
-# are meaningful; 50% tolerance absorbs scheduler noise on ~ms runs.
-bench-diff:
-	dune exec bin/fbufs_cli.exe -- bench-diff BENCH_PR8.json BENCH_PR10.json --tolerance-pct 50
-
-# The whole-series trend gate: every committed snapshot in chronological
-# order, per-benchmark OLS slope and two-segment changepoint. Fails when
-# any benchmark's post-changepoint mean exceeds the pre-changepoint mean
-# by more than tolerance, or a benchmark disappears from the latest
-# snapshot — a slow drift the pairwise diff cannot see.
+# The bench-trajectory gate, run twice over committed snapshots (all
+# collected on the same machine with make bench-json, so deltas are
+# meaningful; 50% tolerance absorbs scheduler noise on ~ms runs). First
+# the latest snapshot against the previous one: on two snapshots the
+# gate is a pairwise diff. Then every snapshot in chronological order,
+# per-benchmark OLS slope and two-segment changepoint, to catch a slow
+# drift no single step shows. Fails when a benchmark's post-changepoint
+# mean exceeds its pre-changepoint mean by more than tolerance, or a
+# benchmark disappears from the latest snapshot.
 bench-trend:
+	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR8.json BENCH_PR10.json --tolerance-pct 50
 	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR2.json BENCH_PR4.json \
 	  BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json \
 	  BENCH_PR10.json --tolerance-pct 50 --json bench-trend.json

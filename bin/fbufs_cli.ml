@@ -508,8 +508,7 @@ let lint_cmd =
           sources (immutability, determinism, documented raises, \
           reference pairing, no handle laundering), interprocedural \
           typestate analysis of fbuf handles (use-after-free, leaks, \
-          write-after-send, read-before-secure) plus abstract \
-          interpretation of the declarative data-path specs")
+          write-after-send, read-before-secure)")
     Term.(const run $ format $ baseline $ out $ root)
 
 let exp_conv =
@@ -677,8 +676,7 @@ let bench_trend_cmd =
             close_out oc);
         if r.T.failed then exit 1
     | exception
-        ( Fbufs_metrics.Bench_diff.Bad_snapshot msg
-        | Fbufs_trace.Json.Parse_error msg ) ->
+        (T.Bad_snapshot msg | Fbufs_trace.Json.Parse_error msg) ->
         Format.eprintf "bench-trend: %s@." msg;
         exit 2
   in
@@ -690,39 +688,6 @@ let bench_trend_cmd =
           benchmark stepped up beyond the tolerance across its changepoint \
           or disappeared from the latest snapshot")
     Term.(const run $ files $ tolerance $ json_out)
-
-let bench_diff_cmd =
-  let old_file =
-    let doc = "Baseline bench snapshot (JSON from bench --json)." in
-    Arg.(required & pos 0 (some file) None & info [] ~doc ~docv:"OLD.json")
-  in
-  let new_file =
-    let doc = "Candidate bench snapshot." in
-    Arg.(required & pos 1 (some file) None & info [] ~doc ~docv:"NEW.json")
-  in
-  let tolerance =
-    let doc = "Allowed ns/run growth per benchmark, in percent." in
-    Arg.(value & opt float 25.0 & info [ "tolerance-pct" ] ~doc ~docv:"PCT")
-  in
-  let run old_file new_file tolerance_pct =
-    let module B = Fbufs_metrics.Bench_diff in
-    match
-      B.diff ~old_:(B.load_file old_file) ~new_:(B.load_file new_file)
-        ~tolerance_pct
-    with
-    | r ->
-        print_string (B.render r);
-        if r.B.failed then exit 1
-    | exception (B.Bad_snapshot msg | Fbufs_trace.Json.Parse_error msg) ->
-        Format.eprintf "bench-diff: %s@." msg;
-        exit 2
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two bench JSON snapshots and fail (exit 1) when any \
-          benchmark regressed beyond the tolerance or disappeared")
-    Term.(const run $ old_file $ new_file $ tolerance)
 
 let cmds =
   [
@@ -753,7 +718,6 @@ let cmds =
     cmd "all" "Run every experiment" (traced (thunk1 all));
     stats_cmd;
     top_cmd;
-    bench_diff_cmd;
     bench_trend_cmd;
     trace_cmd;
     spans_cmd;

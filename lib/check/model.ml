@@ -71,9 +71,8 @@ type t = {
   allocs : allocator array;
   mutable rev_fbufs : fbuf list;
   mutable next_key : int;
-  (* TLB discipline mirror, see the window/generation section below. *)
+  (* TLB discipline mirror, see the window section below. *)
   windows : (int, unit) Hashtbl.t;
-  mutable gens : (int * int) list;  (* dom -> expected generation *)
 }
 
 let create ~page_size ?(alpha = 0.0) specs =
@@ -87,7 +86,6 @@ let create ~page_size ?(alpha = 0.0) specs =
     rev_fbufs = [];
     next_key = 0;
     windows = Hashtbl.create 256;
-    gens = [];
   }
 
 let all t = List.rev t.rev_fbufs
@@ -98,7 +96,6 @@ let ref_count fb dom =
   match List.assoc_opt dom fb.refs with Some n -> n | None -> 0
 
 let total_refs fb = List.fold_left (fun acc (_, n) -> acc + n) 0 fb.refs
-let holders fb = List.map fst fb.refs
 
 let add_ref fb dom =
   fb.refs <- (dom, ref_count fb dom + 1) :: List.remove_assoc dom fb.refs
@@ -399,12 +396,6 @@ let balance_order t ~allocs ~free =
 
 let window_open t ~vpn = Hashtbl.replace t.windows vpn ()
 let window_sanctions t ~vpn = Hashtbl.mem t.windows vpn
-
-let expected_generation t ~dom =
-  match List.assoc_opt dom t.gens with Some g -> g | None -> 0
-
-let note_asid_flush t ~dom =
-  t.gens <- (dom, expected_generation t ~dom + 1) :: List.remove_assoc dom t.gens
 
 let apply_reclaim t fb =
   fb.resident <- false;

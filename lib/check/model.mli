@@ -67,7 +67,6 @@ val allocator : t -> int -> allocator
 val size_bytes : t -> fbuf -> int
 val ref_count : fbuf -> int -> int
 val total_refs : fbuf -> int
-val holders : fbuf -> int list
 
 val parked_of : allocator -> fbuf list
 val parked_len : allocator -> int
@@ -148,9 +147,8 @@ val balance_order : t -> allocs:int list -> free:int -> fbuf list
     The model's view of the deferred-shootdown rules: which pages are
     {e allowed} to have a queued shootdown (a sanctioned-teardown
     superset — TLB residency itself is random in the subject and not
-    predictable), and what generation each address space must be at
-    (the replay world never flushes an ASID, so a moved generation is a
-    divergence). *)
+    predictable). The replay world never flushes an ASID, so every
+    address space must stay at TLB generation 0. *)
 
 val window_open : t -> vpn:int -> unit
 (** Record that [vpn] saw a teardown that may defer its shootdown. *)
@@ -158,5 +156,3 @@ val window_open : t -> vpn:int -> unit
 val window_sanctions : t -> vpn:int -> bool
 (** Whether a queued shootdown on [vpn] is sanctioned. *)
 
-val expected_generation : t -> dom:int -> int
-val note_asid_flush : t -> dom:int -> unit

@@ -471,7 +471,6 @@ let needs_frames t ~npages =
 let parked = parked_fbufs
 let free_extents t = t.extents
 let owned_chunks t = t.chunks
-let is_torn_down t = t.torn_down
 
 let teardown t =
   if t.torn_down then invalid_arg "Allocator.teardown: already torn down";

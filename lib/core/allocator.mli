@@ -90,8 +90,6 @@ val owned_chunks : t -> (int * int) list
 (** The [(base_vpn, nchunks)] chunk grants this allocator holds from the
     region, most recent first. *)
 
-val is_torn_down : t -> bool
-
 val needs_frames : t -> npages:int -> bool
 (** Whether [alloc ~npages] right now would have to claim fresh physical
     frames — false exactly when the buffer the cache would hand out is

@@ -77,8 +77,7 @@ let run ~root =
       files
   in
   let typestate = Typestate.lint_units units in
-  let specs = List.concat_map Pathspec.verify Pathspec.builtins in
-  dedup (List.sort_uniq F.compare (source @ typestate @ specs))
+  dedup (List.sort_uniq F.compare (source @ typestate))
 
 let render_text ppf findings =
   List.iter (fun f -> Format.fprintf ppf "%a@." F.pp f) findings;

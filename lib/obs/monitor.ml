@@ -1,9 +1,6 @@
 module Machine = Fbufs_sim.Machine
 module Mx = Fbufs_metrics.Metrics
 module Ledger = Fbufs_metrics.Ledger
-module Region = Fbufs.Region
-module Allocator = Fbufs.Allocator
-module Fbuf = Fbufs.Fbuf
 
 type config = {
   budget : int;
@@ -24,29 +21,19 @@ let checks_total =
     ~help:"Rule evaluations performed at sequence points"
     ~labels:[ "rule" ] ()
 
-type target = {
-  region : Region.t;
-  allocators : Allocator.t list;
-}
+type rule = Ledger_rule | Gauge
 
-type rule = Refcount | Free_list | Ledger_rule | Gauge
-
-let rules = [| Refcount; Free_list; Ledger_rule; Gauge |]
+let rules = [| Ledger_rule; Gauge |]
 
 let rule_name = function
-  | Refcount -> "refcount"
-  | Free_list -> "free-list"
   | Ledger_rule -> "ledger"
   | Gauge -> "gauge"
 
 type t = {
   config : config;
   recorder : Recorder.t option;
-  targets : (string, target) Hashtbl.t;
   last_drops : (string, float) Hashtbl.t;
   mutable rule_idx : int;  (* round-robin over [rules] *)
-  mutable fb_cursor : int;  (* resume point into registered fbufs *)
-  mutable alloc_cursor : int;  (* resume point into the allocator list *)
   mutable violations : (string * string) list;  (* newest first, capped *)
   mutable violation_count : int;
   mutable checks : int;
@@ -56,17 +43,12 @@ let create ?recorder config =
   {
     config;
     recorder;
-    targets = Hashtbl.create 4;
     last_drops = Hashtbl.create 4;
     rule_idx = 0;
-    fb_cursor = 0;
-    alloc_cursor = 0;
     violations = [];
     violation_count = 0;
     checks = 0;
   }
-
-let attach t ~machine target = Hashtbl.replace t.targets machine target
 
 let violate t m rule fmt =
   Printf.ksprintf
@@ -91,60 +73,6 @@ let violate t m rule fmt =
     fmt
 
 (* -- rules --------------------------------------------------------------- *)
-
-(* Examine a [budget]-sized window of [items] starting at the saved
-   cursor, wrapping; returns the advanced cursor. *)
-let window ~cursor ~budget items f =
-  let n = List.length items in
-  if n = 0 then 0
-  else begin
-    let arr = Array.of_list items in
-    let start = cursor mod n in
-    let steps = min budget n in
-    for i = 0 to steps - 1 do
-      f arr.((start + i) mod n)
-    done;
-    (start + steps) mod n
-  end
-
-let check_refcount t m target =
-  t.fb_cursor <-
-    window ~cursor:t.fb_cursor ~budget:t.config.budget
-      (Region.registered_fbufs target.region)
-      (fun (fb : Fbuf.t) ->
-        let refs = Fbuf.total_refs fb in
-        if refs < 0 then
-          violate t m Refcount "fbuf#%d holds %d references" fb.Fbuf.id refs;
-        if fb.Fbuf.state = Fbuf.Cached_free && refs <> 0 then
-          violate t m Refcount "cached-free fbuf#%d holds %d references"
-            fb.Fbuf.id refs)
-
-let check_free_list t m target =
-  match target.allocators with
-  | [] -> ()
-  | allocs ->
-      let n = List.length allocs in
-      let ai = t.alloc_cursor mod n in
-      t.alloc_cursor <- (ai + 1) mod n;
-      let alloc = List.nth allocs ai in
-      let parked = Allocator.parked alloc in
-      if List.length parked <> Allocator.free_list_length alloc then
-        violate t m Free_list
-          "allocator %d: free_list_length %d but %d parked buffers" ai
-          (Allocator.free_list_length alloc)
-          (List.length parked);
-      List.iteri
-        (fun i (fb : Fbuf.t) ->
-          if i < t.config.budget then begin
-            if fb.Fbuf.state <> Fbuf.Cached_free then
-              violate t m Free_list "allocator %d: parked fbuf#%d not \
-                                     Cached_free" ai fb.Fbuf.id;
-            if Fbuf.total_refs fb <> 0 then
-              violate t m Free_list
-                "allocator %d: parked fbuf#%d holds %d references" ai
-                fb.Fbuf.id (Fbuf.total_refs fb)
-          end)
-        parked
 
 let check_ledger t m =
   match Machine.metrics m with
@@ -212,14 +140,6 @@ let hook t m _site =
   | Some mx -> Mx.incr mx checks_total ~labels:[ rule_name rule ] ()
   | None -> ());
   match rule with
-  | Refcount -> (
-      match Hashtbl.find_opt t.targets m.Machine.name with
-      | Some target -> check_refcount t m target
-      | None -> ())
-  | Free_list -> (
-      match Hashtbl.find_opt t.targets m.Machine.name with
-      | Some target -> check_free_list t m target
-      | None -> ())
   | Ledger_rule -> check_ledger t m
   | Gauge -> check_gauges t m
 

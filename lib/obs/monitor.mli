@@ -1,22 +1,15 @@
-(** Online invariant monitors: a budgeted subset of the structural
-    checker's invariants, evaluated incrementally at sequence points
-    ({!Fbufs_sim.Machine.seq_point} sites: an IPC reply delivered, a
-    transfer secured, a pageout sweep done) instead of in one full
-    sweep.
+(** Online invariant monitors: metered-run invariants evaluated at
+    sequence points ({!Fbufs_sim.Machine.seq_point} sites: an IPC reply
+    delivered, a transfer secured, a pageout sweep done). The structural
+    invariants (reference counts, free lists) belong to the offline
+    checker's audit.
 
-    Rules rotate round-robin, one rule per sequence point, and the
-    structural rules resume a cursor between calls, examining at most
-    [budget] items each — so the per-sequence-point cost is constant
-    regardless of system size, and every item is still visited given
-    enough sequence points. Monitors only read: they never charge
-    simulated time, so arming them cannot perturb any golden output.
+    Rules rotate round-robin, one rule per sequence point, each
+    examining at most [budget] items. Monitors only read: they never
+    charge simulated time, so arming them cannot perturb any golden
+    output.
 
     Rules:
-    - [refcount]: registered fbufs hold non-negative reference counts,
-      and cached-free buffers hold none (needs an {!attach}ed target);
-    - [free-list]: allocator free-list length agrees with its parked
-      set, and parked buffers are cached-free with zero references
-      (needs an {!attach}ed target);
     - [ledger]: the cost ledger's arrival total for the machine equals
       [Machine.busy_us] — attribution is complete (metered runs);
     - [gauge]: policy held-pages gauges do not exceed their threshold
@@ -39,22 +32,12 @@ type config = {
 val default : config
 (** budget 32, grace 16 pages, spike 8 drops, 64 retained messages. *)
 
-type target = {
-  region : Fbufs.Region.t;
-  allocators : Fbufs.Allocator.t list;
-}
-
 type t
 
 val create : ?recorder:Recorder.t -> config -> t
 
-val attach : t -> machine:string -> target -> unit
-(** Enable the structural rules for sequence points of the named
-    machine. Without an attachment only the machine-local rules run. *)
-
 val hook : t -> Fbufs_sim.Machine.t -> string -> unit
-(** The sequence-point callback; exposed for direct installation on one
-    machine via [Machine.set_seq_hook]. *)
+(** The sequence-point callback {!install} sets. *)
 
 val install : t -> unit
 (** Install {!hook} as [Machine.default_seq_hook] (picked up by machines

@@ -1,5 +1,34 @@
-module Bench_diff = Fbufs_metrics.Bench_diff
 module Json = Fbufs_trace.Json
+
+type row = { name : string; ns_per_run : float option; r_square : float option }
+
+exception Bad_snapshot of string
+
+let parse_rows = function
+  | Json.List items ->
+      List.map
+        (fun item ->
+          let name =
+            match Json.member "name" item with
+            | Some (Json.String s) -> s
+            | _ -> raise (Bad_snapshot "benchmark entry without name")
+          in
+          let field k =
+            match Json.member k item with
+            | Some (Json.Float f) -> Some f
+            | Some (Json.Int i) -> Some (float_of_int i)
+            | _ -> None
+          in
+          { name; ns_per_run = field "ns_per_run"; r_square = field "r_square" })
+        items
+  | _ -> raise (Bad_snapshot "snapshot is not a JSON list")
+
+let load_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      parse_rows (Json.parse (really_input_string ic (in_channel_length ic))))
 
 type verdict = {
   bench : string;
@@ -91,10 +120,8 @@ let analyze_rows ~named ~tolerance_pct =
   let latest = List.nth snapshots (List.length snapshots - 1) in
   let names =
     List.concat_map
-      (List.filter_map (fun (r : Bench_diff.row) ->
-           match r.Bench_diff.ns_per_run with
-           | Some _ -> Some r.Bench_diff.name
-           | None -> None))
+      (List.filter_map (fun r ->
+           match r.ns_per_run with Some _ -> Some r.name | None -> None))
       snapshots
     |> List.sort_uniq String.compare
   in
@@ -105,9 +132,7 @@ let analyze_rows ~named ~tolerance_pct =
           List.filter_map
             (fun rows ->
               List.find_map
-                (fun (r : Bench_diff.row) ->
-                  if r.Bench_diff.name = bench then r.Bench_diff.ns_per_run
-                  else None)
+                (fun r -> if r.name = bench then r.ns_per_run else None)
                 rows)
             snapshots
         in
@@ -116,9 +141,7 @@ let analyze_rows ~named ~tolerance_pct =
         let missing_latest =
           not
             (List.exists
-               (fun (r : Bench_diff.row) ->
-                 r.Bench_diff.name = bench
-                 && r.Bench_diff.ns_per_run <> None)
+               (fun r -> r.name = bench && r.ns_per_run <> None)
                latest)
         in
         if n < 2 then
@@ -172,7 +195,7 @@ let analyze_rows ~named ~tolerance_pct =
   }
 
 let analyze ~files ~tolerance_pct =
-  let named = List.map (fun f -> (f, Bench_diff.load_file f)) files in
+  let named = List.map (fun f -> (f, load_file f)) files in
   analyze_rows ~named ~tolerance_pct
 
 let render r =

@@ -1,5 +1,4 @@
-(** Bench-trajectory trend gate: the whole-series generalization of the
-    pairwise [bench-diff].
+(** Bench-trajectory trend gate.
 
     Given the committed [BENCH_*.json] snapshots in chronological order,
     each benchmark's ns/run series gets (1) an ordinary-least-squares
@@ -11,11 +10,23 @@
     a generous pairwise tolerance would wave through accumulates no
     matter how it is split across adjacent snapshots — or when the
     benchmark was present earlier but is missing from the latest
-    snapshot. Two-point series degenerate to exactly the pairwise
-    [bench-diff] comparison.
+    snapshot. On two snapshots this is the pairwise comparison: a
+    benchmark regresses when new ns/run exceeds old by more than the
+    tolerance, or when it has no ns/run in the new snapshot.
 
-    All snapshots must come from the same collection machine (the same
-    rule the pairwise gate relies on); runner speed never enters. *)
+    All snapshots must come from the same collection machine; runner
+    speed never enters. *)
+
+type row = { name : string; ns_per_run : float option; r_square : float option }
+(** One benchmark of a snapshot (the JSON emitted by [bench/main.ml
+    --json]). *)
+
+exception Bad_snapshot of string
+
+val load_file : string -> row list
+(** Raises {!Bad_snapshot} on a snapshot that is not a list of named
+    entries, [Fbufs_trace.Json.Parse_error] on malformed JSON and
+    [Sys_error] when the file cannot be read. *)
 
 type verdict = {
   bench : string;
@@ -40,15 +51,15 @@ type result = {
 }
 
 val analyze_rows :
-  named:(string * Fbufs_metrics.Bench_diff.row list) list ->
+  named:(string * row list) list ->
   tolerance_pct:float ->
   result
 (** [named] pairs a snapshot label with its rows, oldest first. Raises
     [Invalid_argument] on fewer than two snapshots. *)
 
 val analyze : files:string list -> tolerance_pct:float -> result
-(** {!analyze_rows} over [Bench_diff.load_file] of each path; raises as
-    that loader on malformed snapshots. *)
+(** {!analyze_rows} over {!load_file} of each path; raises as that
+    loader on malformed snapshots. *)
 
 val render : result -> string
 (** Fixed-width table plus a PASS/FAIL trailer line. *)

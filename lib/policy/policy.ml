@@ -262,13 +262,6 @@ let register t alloc ~klass =
        });
   note_held t e
 
-let unregister t alloc =
-  match find_entry t alloc with
-  | None -> ()
-  | Some e ->
-      Allocator.set_share alloc None;
-      t.entries <- List.filter (fun e' -> e' != e) t.entries
-
 (* Pageout-daemon victim ordering: static defers to the daemon's global
    LRU; dynamic ranks over-threshold buffers (at sweep-start free level)
    first, lowest class first, then LRU — so pressure relief lands on the
@@ -296,9 +289,6 @@ let pageout_order t (vs : Pageout.victim list) =
 (* Introspection *)
 let held t alloc =
   match find_entry t alloc with None -> None | Some e -> Some e.e_held
-
-let klass_of t alloc =
-  match find_entry t alloc with None -> None | Some e -> Some e.e_klass
 
 let over_threshold t alloc =
   match find_entry t alloc with

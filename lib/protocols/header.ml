@@ -44,3 +44,17 @@ let set_u32 b i v =
   Bytes.set b (i + 1) (Char.chr ((v lsr 16) land 0xFF));
   Bytes.set b (i + 2) (Char.chr ((v lsr 8) land 0xFF));
   Bytes.set b (i + 3) (Char.chr (v land 0xFF))
+
+let strip pdu ~as_ ~stats ~proto ~size ~magic ~len_at =
+  let drop why =
+    Fbufs_sim.Stats.incr stats (proto ^ why);
+    None
+  in
+  if Msg.length pdu < size then drop ".short_pdu"
+  else
+    let hdr = peek pdu ~as_ ~len:size in
+    if get_u16 hdr 0 <> magic then drop ".bad_header"
+    else
+      let len = get_u32 hdr len_at in
+      if len > Msg.length pdu - size then drop ".bad_length"
+      else Some (hdr, Msg.truncate (Msg.clip pdu size) len)

@@ -26,6 +26,23 @@ val peek : Fbufs_msg.Msg.t -> as_:Fbufs_vm.Pd.t -> len:int -> bytes
 (** Read the first [len] bytes (the header) without consuming them. Raises
     [Invalid_argument] if the message is shorter. *)
 
+val strip :
+  Fbufs_msg.Msg.t ->
+  as_:Fbufs_vm.Pd.t ->
+  stats:Fbufs_sim.Stats.t ->
+  proto:string ->
+  size:int ->
+  magic:int ->
+  len_at:int ->
+  (bytes * Fbufs_msg.Msg.t) option
+(** Validate a received PDU's [size]-byte header: its first two bytes
+    must be [magic], and the payload length, the 32-bit field at byte
+    [len_at], must fit in the bytes present. Returns the header bytes and
+    the payload (the bytes after the header, cut to that length). A
+    malformed PDU is a counted drop, never an exception: [None], with
+    ["<proto>.short_pdu"], ["<proto>.bad_header"] or
+    ["<proto>.bad_length"] incremented in [stats]. *)
+
 val free_stripped :
   dom:Fbufs_vm.Pd.t -> pdu:Fbufs_msg.Msg.t -> payload:Fbufs_msg.Msg.t -> unit
 (** After a protocol clips its header off a PDU, release this domain's

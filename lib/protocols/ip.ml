@@ -80,45 +80,45 @@ let pop t pdu =
   let m = Fbufs_xkernel.Protocol.machine t.proto in
   let csp = Machine.span_enter m ~domain:t.dom.Fbufs_vm.Pd.name "ip.pop" in
   Fbufs_xkernel.Protocol.charge_op t.proto;
-  let hdr = Header.peek pdu ~as_:t.dom ~len:header_size in
-  (if Header.get_u16 hdr 0 <> magic then
-    Stats.incr (Fbufs_xkernel.Protocol.machine t.proto).Machine.stats "ip.bad_header"
-  else begin
-    let total = Header.get_u32 hdr 2 in
-    let id = Header.get_u32 hdr 6 in
-    let off = Header.get_u32 hdr 10 in
-    let len = Header.get_u32 hdr 14 in
-    let more = Bytes.get hdr 18 = '\001' in
-    let payload = Msg.truncate (Msg.clip pdu header_size) len in
-    Header.free_stripped ~dom:t.dom ~pdu ~payload;
-    if (not more) && off = 0 then deliver_up t payload
-    else begin
-      charge_frag t;
-      let r =
-        match Hashtbl.find_opt t.table id with
-        | Some r -> r
-        | None ->
-            let r = { got = []; bytes = 0; total = None } in
-            Hashtbl.add t.table id r;
-            r
-      in
-      r.got <- (off, payload) :: r.got;
-      r.bytes <- r.bytes + len;
-      if not more then r.total <- Some total;
-      match r.total with
-      | Some want when r.bytes >= want ->
-          Hashtbl.remove t.table id;
-          let parts =
-            List.sort (fun (a, _) (b, _) -> compare a b) r.got
-          in
-          let whole =
-            List.fold_left (fun acc (_, p) -> Msg.join acc p) Msg.empty parts
-          in
-          t.reassemblies <- t.reassemblies + 1;
-          deliver_up t whole
-      | Some _ | None -> ()
-    end
-  end);
+  (match
+     Header.strip pdu ~as_:t.dom ~stats:m.Machine.stats ~proto:"ip"
+       ~size:header_size ~magic ~len_at:14
+   with
+  | None -> ()
+  | Some (hdr, payload) ->
+      let total = Header.get_u32 hdr 2 in
+      let id = Header.get_u32 hdr 6 in
+      let off = Header.get_u32 hdr 10 in
+      let len = Header.get_u32 hdr 14 in
+      let more = Bytes.get hdr 18 = '\001' in
+      Header.free_stripped ~dom:t.dom ~pdu ~payload;
+      if (not more) && off = 0 then deliver_up t payload
+      else begin
+        charge_frag t;
+        let r =
+          match Hashtbl.find_opt t.table id with
+          | Some r -> r
+          | None ->
+              let r = { got = []; bytes = 0; total = None } in
+              Hashtbl.add t.table id r;
+              r
+        in
+        r.got <- (off, payload) :: r.got;
+        r.bytes <- r.bytes + len;
+        if not more then r.total <- Some total;
+        match r.total with
+        | Some want when r.bytes >= want ->
+            Hashtbl.remove t.table id;
+            let parts =
+              List.sort (fun (a, _) (b, _) -> compare a b) r.got
+            in
+            let whole =
+              List.fold_left (fun acc (_, p) -> Msg.join acc p) Msg.empty parts
+            in
+            t.reassemblies <- t.reassemblies + 1;
+            deliver_up t whole
+        | Some _ | None -> ()
+      end);
   Machine.span_exit m csp
 
 let create ~dom ~below ~header_alloc ?(pdu_size = 4096) () =

@@ -152,13 +152,11 @@ type receiver = {
   rproto : Protocol.t;
   mutable up : Protocol.t option;
   mutable expected : int;
-  mutable duplicates : int;
   mutable delivered : int;
 }
 
 let receiver_proto r = r.rproto
 let set_up r p = r.up <- Some p
-let duplicates_dropped r = r.duplicates
 let delivered r = r.delivered
 
 let send_ack r ~cum_seq =
@@ -171,32 +169,31 @@ let send_ack r ~cum_seq =
 
 let receiver_pop r pdu =
   Protocol.charge_op r.rproto;
-  if Msg.length pdu < header_size then ()
-  else begin
-    let hdr = Header.peek pdu ~as_:r.rdom ~len:header_size in
-    if Header.get_u16 hdr 0 <> magic then ()
-    else if Char.code (Bytes.get hdr 2) <> kind_data then ()
-    else begin
-      let seq = Header.get_u32 hdr 4 in
-      let len = Header.get_u32 hdr 8 in
-      let payload = Msg.truncate (Msg.clip pdu header_size) len in
-      Header.free_stripped ~dom:r.rdom ~pdu ~payload;
-      if seq = r.expected then begin
-        r.expected <- r.expected + 1;
-        r.delivered <- r.delivered + 1;
-        (match r.up with
-        | Some up -> up.Protocol.pop payload
-        | None -> Msg.free_held payload ~dom:r.rdom);
-        send_ack r ~cum_seq:(r.expected - 1)
-      end
+  match
+    Header.strip pdu ~as_:r.rdom
+      ~stats:(Protocol.machine r.rproto).Machine.stats ~proto:"rtp"
+      ~size:header_size ~magic ~len_at:8
+  with
+  | None -> ()
+  | Some (hdr, payload) ->
+      if Char.code (Bytes.get hdr 2) <> kind_data then ()
       else begin
-        (* Out of order or duplicate: drop, re-assert cumulative state. *)
-        r.duplicates <- r.duplicates + 1;
-        Msg.free_held payload ~dom:r.rdom;
-        if r.expected > 0 then send_ack r ~cum_seq:(r.expected - 1)
+        let seq = Header.get_u32 hdr 4 in
+        Header.free_stripped ~dom:r.rdom ~pdu ~payload;
+        if seq = r.expected then begin
+          r.expected <- r.expected + 1;
+          r.delivered <- r.delivered + 1;
+          (match r.up with
+          | Some up -> up.Protocol.pop payload
+          | None -> Msg.free_held payload ~dom:r.rdom);
+          send_ack r ~cum_seq:(r.expected - 1)
+        end
+        else begin
+          (* Out of order or duplicate: drop, re-assert cumulative state. *)
+          Msg.free_held payload ~dom:r.rdom;
+          if r.expected > 0 then send_ack r ~cum_seq:(r.expected - 1)
+        end
       end
-    end
-  end
 
 let create_receiver ~dom ~ack_below ~header_alloc () =
   let rproto = Protocol.create ~name:"rtp-recv" ~dom () in
@@ -208,7 +205,6 @@ let create_receiver ~dom ~ack_below ~header_alloc () =
       rproto;
       up = None;
       expected = 0;
-      duplicates = 0;
       delivered = 0;
     }
   in

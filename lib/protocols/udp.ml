@@ -44,16 +44,15 @@ let pop t pdu =
   let m = Fbufs_xkernel.Protocol.machine t.proto in
   let csp = Machine.span_enter m ~domain:t.dom.Fbufs_vm.Pd.name "udp.pop" in
   Fbufs_xkernel.Protocol.charge_op t.proto;
-  let stats = (Fbufs_xkernel.Protocol.machine t.proto).Machine.stats in
-  (if Msg.length pdu < header_size then Stats.incr stats "udp.short_pdu"
-  else begin
-    let hdr = Header.peek pdu ~as_:t.dom ~len:header_size in
-    if Header.get_u16 hdr 0 <> magic then Stats.incr stats "udp.bad_header"
-    else begin
+  let stats = m.Machine.stats in
+  (match
+     Header.strip pdu ~as_:t.dom ~stats ~proto:"udp" ~size:header_size ~magic
+       ~len_at:6
+   with
+  | None -> ()
+  | Some (hdr, payload) ->
       let dst = Header.get_u16 hdr 4 in
-      let len = Header.get_u32 hdr 6 in
       let csum = Header.get_u16 hdr 10 in
-      let payload = Msg.truncate (Msg.clip pdu header_size) len in
       Header.free_stripped ~dom:t.dom ~pdu ~payload;
       let ok =
         csum = 0
@@ -70,9 +69,7 @@ let pop t pdu =
             up.Fbufs_xkernel.Protocol.pop payload
         | None ->
             t.no_port_drops <- t.no_port_drops + 1;
-            Stats.incr stats "udp.no_port"
-    end
-  end);
+            Stats.incr stats "udp.no_port");
   Machine.span_exit m csp
 
 let create ~dom ~below ~header_alloc ?(src_port = 1000) ?(dst_port = 2000)

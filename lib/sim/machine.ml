@@ -17,7 +17,6 @@ type t = {
   mutable trace : Trace.t option;
   mutable metrics : Fbufs_metrics.Metrics.t option;
   mutable spans : Fbufs_span.Span.t option;
-  mutable series : Fbufs_metrics.Timeseries.t option;
   mutable comp_ctx : Fbufs_metrics.Component.t option;
   mutable seq_hook : (t -> string -> unit) option;
   mutable on_tick : (float -> unit) option;
@@ -26,13 +25,11 @@ type t = {
 let default_trace : Trace.t option ref = ref None
 let default_metrics : Fbufs_metrics.Metrics.t option ref = ref None
 let default_spans : Fbufs_span.Span.t option ref = ref None
-let default_series : Fbufs_metrics.Timeseries.t option ref = ref None
 let default_seq_hook : (t -> string -> unit) option ref = ref None
 let default_tick : (float -> unit) option ref = ref None
 
 let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
-    ?(nframes = 4096) ?(tlb_entries = 64) ?(seed = 42) ?trace ?metrics ?spans
-    ?series () =
+    ?(nframes = 4096) ?(tlb_entries = 64) ?(seed = 42) () =
   let rng = Rng.create seed in
   {
     name;
@@ -45,10 +42,9 @@ let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
     busy = { busy_us = 0.0 };
     next_asid = 1;
     next_id = 1;
-    trace = (match trace with Some _ as t -> t | None -> !default_trace);
-    metrics = (match metrics with Some _ as x -> x | None -> !default_metrics);
-    spans = (match spans with Some _ as s -> s | None -> !default_spans);
-    series = (match series with Some _ as s -> s | None -> !default_series);
+    trace = !default_trace;
+    metrics = !default_metrics;
+    spans = !default_spans;
     comp_ctx = None;
     seq_hook = !default_seq_hook;
     on_tick = !default_tick;
@@ -56,16 +52,11 @@ let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
 
 let set_trace m tr = m.trace <- tr
 let tracing m = m.trace <> None
-let set_metrics m x = m.metrics <- x
 let metered m = m.metrics <> None
 let metrics m = m.metrics
 let set_spans m s = m.spans <- s
 let spanning m = m.spans <> None
 let spans m = m.spans
-let set_series m s = m.series <- s
-let series m = m.series
-let set_seq_hook m h = m.seq_hook <- h
-let set_tick m h = m.on_tick <- h
 
 (* Sequence point: a place where the system's invariants are expected to
    hold (an IPC reply delivered, a transfer secured, a pageout sweep
@@ -109,10 +100,6 @@ let charge ?kind ?comp m us =
   | Some s ->
       let c = match eff with Some c -> c | None -> Fbufs_metrics.Component.Other in
       Fbufs_span.Span.on_charge s ~machine:m.name ~comp:c us);
-  (match (m.series, m.metrics) with
-  | Some ts, Some mx ->
-      Fbufs_metrics.Timeseries.tick ts ~now_us:(Clock.now m.clock) mx
-  | _ -> ());
   Clock.advance m.clock us;
   m.busy.busy_us <- m.busy.busy_us +. us;
   match m.on_tick with Some f -> f (Clock.now m.clock) | None -> ()
@@ -217,11 +204,6 @@ let current_transfer m =
   | None -> 0
   | Some s -> Fbufs_span.Span.current s ~machine:m.name
 
-let span_context m =
-  match m.spans with
-  | None -> (0, 0)
-  | Some s -> Fbufs_span.Span.context s ~machine:m.name
-
 let elapse_to ?kind m t =
   (match (m.trace, kind) with
   | Some tr, Some k ->
@@ -243,10 +225,6 @@ let fresh_id m =
   let i = m.next_id in
   m.next_id <- i + 1;
   i
-
-let cpu_load m ~since =
-  let span = now m -. since in
-  if span <= 0.0 then 0.0 else Float.min 1.0 (m.busy.busy_us /. span)
 
 let busy_us m = m.busy.busy_us
 
@@ -271,5 +249,3 @@ let domain_crossing_tlb_pressure ?entries m =
     Tlb.insert m.tlb ~asid:0 ~vpn:(0x70000 + (i * 7) + Rng.int m.rng 5)
       ~writable:false
   done
-
-let reset_stats m = Stats.reset m.stats

@@ -23,7 +23,6 @@ type t = {
   mutable trace : Fbufs_trace.Trace.t option;
   mutable metrics : Fbufs_metrics.Metrics.t option;
   mutable spans : Fbufs_span.Span.t option;
-  mutable series : Fbufs_metrics.Timeseries.t option;
   mutable comp_ctx : Fbufs_metrics.Component.t option;
   mutable seq_hook : (t -> string -> unit) option;
   mutable on_tick : (float -> unit) option;
@@ -45,10 +44,6 @@ val default_spans : Fbufs_span.Span.t option ref
     disables span recording: every [transfer_begin]/[span_enter] returns
     0 immediately and {!charge} does one pointer comparison. *)
 
-val default_series : Fbufs_metrics.Timeseries.t option ref
-(** Same install pattern, for windowed gauge time series. Only sampled
-    when the machine also carries a metrics instance. *)
-
 val default_seq_hook : (t -> string -> unit) option ref
 (** Same install pattern, for the {!seq_point} callback the online
     invariant monitors hang off. [None] (the default) makes every
@@ -65,16 +60,12 @@ val create :
   ?nframes:int ->
   ?tlb_entries:int ->
   ?seed:int ->
-  ?trace:Fbufs_trace.Trace.t ->
-  ?metrics:Fbufs_metrics.Metrics.t ->
-  ?spans:Fbufs_span.Span.t ->
-  ?series:Fbufs_metrics.Timeseries.t ->
   unit ->
   t
 (** Defaults: DecStation 5000/200 cost model, 4096 frames (16 MB), 64 TLB
-    entries, seed 42, trace sink [!default_trace], metrics instance
-    [!default_metrics], span sink [!default_spans], time series
-    [!default_series]. *)
+    entries, seed 42. The sinks are taken from {!default_trace},
+    {!default_metrics}, {!default_spans}, {!default_seq_hook} and
+    {!default_tick}. *)
 
 val set_trace : t -> Fbufs_trace.Trace.t option -> unit
 
@@ -82,8 +73,6 @@ val tracing : t -> bool
 (** Whether a sink is attached. Instrumentation sites that build argument
     lists must test this first so a disabled trace costs one pointer
     comparison and no allocation. *)
-
-val set_metrics : t -> Fbufs_metrics.Metrics.t option -> unit
 
 val metered : t -> bool
 (** Whether a metrics instance is attached; the counterpart of {!tracing}
@@ -99,11 +88,6 @@ val spanning : t -> bool
     {!tracing}/{!metered} for the span instrumentation. *)
 
 val spans : t -> Fbufs_span.Span.t option
-
-val set_series : t -> Fbufs_metrics.Timeseries.t option -> unit
-val series : t -> Fbufs_metrics.Timeseries.t option
-val set_seq_hook : t -> (t -> string -> unit) option -> unit
-val set_tick : t -> (float -> unit) option -> unit
 
 val seq_point : t -> string -> unit
 (** Declare a sequence point — a site (named like ["ipc.reply"],
@@ -184,9 +168,6 @@ val current_transfer : t -> int
 (** The machine's current transfer context (0 when none or disabled) —
     what {!Fbufs.Allocator.alloc} stamps into new fbufs. *)
 
-val span_context : t -> int * int
-(** [(transfer id, innermost open span id)], 0s when absent. *)
-
 val trace_instant :
   t ->
   ?domain:string ->
@@ -240,10 +221,6 @@ val busy_us : t -> float
 val fresh_asid : t -> int
 val fresh_id : t -> int
 
-val cpu_load : t -> since:float -> float
-(** Fraction of wall (simulated) time the CPU was busy since the given
-    timestamp pair captured with {!checkpoint}. *)
-
 val checkpoint : t -> float * float
 (** [(now, busy)] snapshot, for differential load measurement with
     {!load_since}. *)
@@ -257,5 +234,3 @@ val domain_crossing_tlb_pressure : ?entries:int -> t -> unit
     crossing. Costless in time (the control-transfer latency is charged
     separately by the IPC layer); its effect is the refill work later
     accesses must redo. *)
-
-val reset_stats : t -> unit

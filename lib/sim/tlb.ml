@@ -115,11 +115,6 @@ module Itab = struct
       in
       clean i
     end
-
-  let clear t =
-    Bytes.fill t.state 0 (t.mask + 1) '\000';
-    t.live <- 0;
-    t.used <- 0
 end
 
 type entry = {
@@ -303,14 +298,6 @@ let flush_asid t ~asid =
     t.asid_gen.(asid) <- g + 1
   end;
   drop_asid_pendings t asid
-
-let flush_all t =
-  Array.iter (fun e -> e.valid <- false) t.slots;
-  Itab.clear t.index;
-  t.valid_count <- 0;
-  Array.fill t.asid_live 0 (Array.length t.asid_live) 0;
-  Hashtbl.reset t.pending;
-  t.pending_n <- 0
 
 let valid_entries t = t.valid_count
 

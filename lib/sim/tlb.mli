@@ -69,8 +69,6 @@ val flush_asid : t -> asid:int -> unit
     subsumes), degenerating to an eager sweep only on generation-word
     wraparound. *)
 
-val flush_all : t -> unit
-
 val valid_entries : t -> int
 (** Number of live entries (for tests and locality diagnostics);
     generation-stale slots do not count. *)

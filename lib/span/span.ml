@@ -346,13 +346,10 @@ let forget t tid =
       t.torder <- List.filter (fun i -> i <> tid) t.torder;
       Hashtbl.replace t.forgotten tid ()
 
-let context t ~machine =
+let current t ~machine =
   match Hashtbl.find_opt t.machines machine with
-  | None -> (0, 0)
-  | Some mc ->
-      (mc.ctx, match mc.stack with (sp, _) :: _ -> sp.id | [] -> 0)
-
-let current t ~machine = fst (context t ~machine)
+  | None -> 0
+  | Some mc -> mc.ctx
 
 (* -- queries ----------------------------------------------------------- *)
 

@@ -189,9 +189,6 @@ let prot_of t ~vpn =
 let frame_of t ~vpn =
   Option.bind (Ptable.find t.table vpn) (fun e -> e.frame)
 
-let is_cow t ~vpn =
-  match Ptable.find t.table vpn with Some e -> e.cow | None -> false
-
 let entry_count t = Ptable.length t.table
 
 let release_range t ~vpn ~npages = unmap t ~vpn ~npages ~free_frames:true

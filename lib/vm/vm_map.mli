@@ -77,7 +77,6 @@ val convert_zero_fill : t -> vpn:int -> npages:int -> unit
 val mapped : t -> vpn:int -> bool
 val prot_of : t -> vpn:int -> Prot.t option
 val frame_of : t -> vpn:int -> Fbufs_sim.Phys_mem.frame_id option
-val is_cow : t -> vpn:int -> bool
 val entry_count : t -> int
 
 (* -- fault handling --------------------------------------------------- *)

@@ -7,6 +7,7 @@ module Msg = Fbufs_msg.Msg
 module Protocol = Fbufs_xkernel.Protocol
 module Ip = Fbufs_protocols.Ip
 module Udp = Fbufs_protocols.Udp
+module Rtp = Fbufs_protocols.Rtp
 module Loopback = Fbufs_protocols.Loopback
 module Header = Fbufs_protocols.Header
 module Testproto = Fbufs_protocols.Testproto
@@ -340,6 +341,75 @@ let prop_fragment_count =
       let total = bytes + Udp.header_size in
       Ip.fragments_sent stack.Stacks.ip = (total + pdu_size - 1) / pdu_size)
 
+(* ------------------------------------------------------------------ *)
+(* Malformed PDUs on the receive path                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Each receive pop, wired to a sink, under a PDU shorter than its header
+   and under a header whose length field (1000) overruns the 4 payload
+   bytes present: a counted drop, never an exception, nothing delivered.
+   Columns: protocol, header size, magic, length-field offset, and how to
+   build the pop over a domain, header allocator and upper protocol. *)
+let malformed_protocols =
+  let null d = Protocol.create ~name:"null" ~dom:d () in
+  [
+    ( "ip", Ip.header_size, 0x4950, 14,
+      fun d alloc up ->
+        let ip = Ip.create ~dom:d ~below:(null d) ~header_alloc:alloc () in
+        Ip.set_up ip up;
+        (Ip.proto ip).Protocol.pop );
+    ( "udp", Udp.header_size, 0x5544, 6,
+      fun d alloc up ->
+        let udp = Udp.create ~dom:d ~below:(null d) ~header_alloc:alloc () in
+        Udp.bind udp ~port:0 up;
+        (Udp.proto udp).Protocol.pop );
+    ( "rtp", Rtp.header_size, 0x5254, 8,
+      fun d alloc up ->
+        let r =
+          Rtp.create_receiver ~dom:d ~ack_below:(null d) ~header_alloc:alloc ()
+        in
+        Rtp.set_up r up;
+        (Rtp.receiver_proto r).Protocol.pop );
+  ]
+
+let test_malformed_pdus_are_counted_drops () =
+  List.iter
+    (fun (proto, size, magic, len_at, make_pop) ->
+      List.iter
+        (fun (shape, stat) ->
+          let tb = Testbed.create () in
+          let d = Testbed.user_domain tb "d" in
+          let alloc =
+            Testbed.allocator tb ~domains:[ d ] Fbuf.cached_volatile
+          in
+          let sink = Testproto.sink ~dom:d () in
+          let pop = make_pop d alloc (Testproto.sink_proto sink) in
+          let bytes =
+            if shape = "short" then Bytes.make 5 '\001'
+            else begin
+              (* kind byte 2 = 1 marks an RTP data PDU; IP reads it as
+                 part of its total length, UDP as its source port. *)
+              let b = Bytes.make (size + 4) '\000' in
+              Header.set_u16 b 0 magic;
+              Bytes.set b 2 '\001';
+              Header.set_u32 b len_at 1000;
+              b
+            end
+          in
+          let fb = Allocator.alloc alloc ~npages:1 in
+          Fbuf_api.write_bytes fb ~as_:d ~off:0 bytes;
+          let stats = tb.Testbed.m.Machine.stats in
+          let name = Printf.sprintf "%s %s" proto shape in
+          (match pop (Msg.of_fbuf fb ~off:0 ~len:(Bytes.length bytes)) with
+          | () -> ()
+          | exception e ->
+              Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+          check Alcotest.int (name ^ ": counted") 1 (Stats.get stats stat);
+          check Alcotest.int (name ^ ": not delivered") 0
+            (Testproto.received sink))
+        [ ("short", proto ^ ".short_pdu"); ("overlong", proto ^ ".bad_length") ])
+    malformed_protocols
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "protocols"
@@ -364,6 +434,11 @@ let () =
           tc "udp checksum validates" `Quick test_udp_checksum_validates;
           tc "udp checksum detects corruption" `Quick
             test_udp_checksum_detects_corruption;
+        ] );
+      ( "malformed",
+        [
+          tc "short and overlong PDUs are counted drops" `Quick
+            test_malformed_pdus_are_counted_drops;
         ] );
       ( "multi-domain",
         [
