@@ -56,16 +56,20 @@ let leaves m =
   in
   go [] m
 
+(* Distinct fbufs in leaf order, first occurrence wins: free order feeds
+   the allocators' LIFO free lists, so it must stay stable. Messages carry
+   a handful of distinct fbufs, so a list scan beats a table. *)
 let fbufs m =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun l ->
-      if Hashtbl.mem seen l.fbuf.Fbuf.id then None
-      else begin
-        Hashtbl.add seen l.fbuf.Fbuf.id ();
-        Some l.fbuf
-      end)
-    (leaves m)
+  let rec seen id = function
+    | [] -> false
+    | (fb : Fbuf.t) :: rest -> fb.Fbuf.id = id || seen id rest
+  in
+  let rec go acc = function
+    | Empty -> acc
+    | Leaf { fbuf; _ } -> if seen fbuf.Fbuf.id acc then acc else fbuf :: acc
+    | Cat c -> go (go acc c.left) c.right
+  in
+  List.rev (go [] m)
 
 let rec depth = function
   | Empty | Leaf _ -> 1

@@ -47,6 +47,7 @@ type t = {
   mutable evictions : int;
   hw_demux : bool;
   mutable sw_demux_copies : int;
+  mutable staging : bytes list;
 }
 
 let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
@@ -69,6 +70,7 @@ let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
     evictions = 0;
     hw_demux;
     sw_demux_copies = 0;
+    staging = [];
   }
 
 let connect a b =
@@ -143,11 +145,38 @@ let cells_sent t = t.cells_sent
 let pdus_received t = t.pdus_received
 let uncached_rx_pdus t = t.uncached_rx
 
+(* Host-side staging for PDUs in flight: the simulator captures a PDU's
+   bytes at send time and holds them until delivery. Buffers are recycled
+   LIFO through the sending adapter's pool, so the steady state allocates
+   nothing per PDU. When no pooled buffer is large enough, one too-small
+   buffer is dropped and a new one, rounded up to whole pages, replaces
+   it. *)
+let rec unlink_fit len = function
+  | [] -> raise Not_found
+  | b :: rest when Bytes.length b >= len -> (b, rest)
+  | b :: rest ->
+      let fit, rest = unlink_fit len rest in
+      (fit, b :: rest)
+
+let take_staging t ~len =
+  match unlink_fit len t.staging with
+  | b, rest ->
+      t.staging <- rest;
+      b
+  | exception Not_found ->
+      (match t.staging with _ :: rest -> t.staging <- rest | [] -> ());
+      let ps = t.m.Machine.cost.Cost_model.page_size in
+      Bytes.create (max 1 ((len + ps - 1) / ps) * ps)
+
+let return_staging t b = t.staging <- b :: t.staging
+
 (* DMA engines address physical memory directly: no TLB, no CPU charges.
-   Frames are found through the owning domain's map. *)
-let dma_gather t msg =
+   Frames are found through the owning domain's map. Writes every byte of
+   [0, len) of the staging buffer — unmapped pages gather as zeros — since
+   a recycled buffer still holds the previous PDU. *)
+let dma_gather t msg ~len =
   let ps = t.m.Machine.cost.Cost_model.page_size in
-  let out = Bytes.create (Msg.length msg) in
+  let out = take_staging t ~len in
   let pos = ref 0 in
   List.iter
     (fun (l : Msg.leaf) ->
@@ -167,9 +196,11 @@ let dma_gather t msg =
     (Msg.leaves msg);
   out
 
-let scatter_at t (fb : Fbuf.t) ~off data =
+(* Walk [off, off + len) of [fb] through the kernel's frames one page
+   segment at a time, copying from [src] when given and writing zeros
+   otherwise. *)
+let scatter_at t (fb : Fbuf.t) ~off ~len src =
   let ps = t.m.Machine.cost.Cost_model.page_size in
-  let len = Bytes.length data in
   let pos = ref 0 in
   let vaddr = ref (Fbuf.vaddr fb + off) in
   while !pos < len do
@@ -187,14 +218,15 @@ let scatter_at t (fb : Fbuf.t) ~off data =
             ~prot:Prot.Read_write ~eager:true;
           f
     in
-    Bytes.blit data !pos (Phys_mem.data t.m.pmem frame) off seg;
+    let dst = Phys_mem.data t.m.pmem frame in
+    (match src with
+    | Some data -> Bytes.blit data !pos dst off seg
+    | None -> Bytes.fill dst off seg '\000');
     pos := !pos + seg;
     vaddr := !vaddr + seg
   done
 
-let dma_scatter t fb data = scatter_at t fb ~off:0 data
-
-let deliver t ~flight ~cause ~vci data =
+let deliver t ~sender ~flight ~cause ~vci ~len data =
   let now = Des.now t.des in
   Machine.elapse_to t.m now;
   (* Continue the sender's transfer on this machine: the rx span follows
@@ -210,7 +242,6 @@ let deliver t ~flight ~cause ~vci data =
     t.m.cost.Cost_model.driver_op;
   Stats.incr t.m.stats "osiris.rx_pdu";
   t.pdus_received <- t.pdus_received + 1;
-  let len = Bytes.length data in
   (match Machine.metrics t.m with
   | None -> ()
   | Some mx ->
@@ -252,7 +283,10 @@ let deliver t ~flight ~cause ~vci data =
     Machine.charge ~kind:"osiris.sw_demux_copy" ~comp:Comp.Copy t.m
       (float_of_int len *. t.m.cost.Cost_model.copy_per_byte)
   end;
-  dma_scatter t fb data;
+  scatter_at t fb ~off:0 ~len (Some data);
+  (* The bytes now sit in the fbuf: hand the staging buffer back to the
+     sender before the handler runs, so an ack it sends can reuse it. *)
+  return_staging sender data;
   (* Security: an uncached buffer is built from frames recycled from
      arbitrary domains, so the slack beyond the PDU must be cleared before
      the buffer is exposed to the receiving path. Cached buffers recycle
@@ -265,7 +299,7 @@ let deliver t ~flight ~cause ~vci data =
     Stats.incr t.m.stats "osiris.slack_zeroed";
     (* The clearing loop itself is charged above at the bzero rate; write
        the zeros through the frames directly. *)
-    scatter_at t fb ~off:len (Bytes.make slack '\000')
+    scatter_at t fb ~off:len ~len:slack None
   end;
   let msg = Msg.of_fbuf fb ~off:0 ~len in
   (match t.rx_handler with
@@ -295,9 +329,10 @@ let send_pdu t ~vci msg =
   Machine.charge ~kind:"driver.op" ~comp:Comp.Net t.m
     t.m.cost.Cost_model.driver_op;
   Stats.incr t.m.stats "osiris.tx_pdu";
-  let data = dma_gather t msg in
+  let len = Msg.length msg in
+  let data = dma_gather t msg ~len in
   let cells =
-    (Bytes.length data + pdu_overhead + t.m.cost.Cost_model.cell_payload - 1)
+    (len + pdu_overhead + t.m.cost.Cost_model.cell_payload - 1)
     / t.m.cost.Cost_model.cell_payload
   in
   t.cells_sent <- t.cells_sent + cells;
@@ -306,7 +341,7 @@ let send_pdu t ~vci msg =
   | Some mx ->
       let labels = [ t.m.Machine.name; "tx" ] in
       Mx.incr mx net_pdus ~labels ();
-      Mx.observe mx net_pdu_bytes ~labels (float_of_int (Bytes.length data));
+      Mx.observe mx net_pdu_bytes ~labels (float_of_int len);
       Mx.add mx net_cells ~labels:[ t.m.Machine.name ] (float_of_int cells));
   let tx_time = float_of_int cells *. Cost_model.cell_time t.m.cost in
   let start = Float.max (Machine.now t.m) t.link_free_at in
@@ -323,7 +358,7 @@ let send_pdu t ~vci msg =
         ~args:
           [
             ("vci", Int vci);
-            ("bytes", Int (Bytes.length data));
+            ("bytes", Int len);
             ("cells", Int cells);
           ]
         "osiris.tx";
@@ -336,6 +371,7 @@ let send_pdu t ~vci msg =
     (* The cells occupy the wire but the frame is lost (CRC failure at the
        receiving adapter); nothing is delivered. *)
     t.pdus_dropped <- t.pdus_dropped + 1;
+    return_staging t data;
     Stats.incr t.m.stats "osiris.pdu_dropped";
     (match Machine.metrics t.m with
     | None -> ()
@@ -357,6 +393,6 @@ let send_pdu t ~vci msg =
     in
     let cause = (ctid, fsp) in
     Des.schedule t.des (finish +. propagation) (fun () ->
-        deliver peer ~flight ~cause ~vci data)
+        deliver peer ~sender:t ~flight ~cause ~vci ~len data)
   end;
   Machine.span_exit t.m csp

@@ -65,6 +65,10 @@ val send_pdu : t -> vci:int -> Fbufs_msg.Msg.t -> unit
 (** Transmit a PDU: charges driver processing, then schedules cell
     transmission on the shared link; the caller's CPU is not blocked while
     DMA runs. The message's buffers are not freed (the caller owns them).
+    The PDU's bytes are captured when the call returns, so the caller may
+    reuse, overwrite or free its buffers at once; the adapter holds the
+    copy in a staging buffer recycled through its own pool, so a
+    steady-state send allocates no host memory per PDU.
     Raises [Invalid_argument] if the adapter is not connected to a peer. *)
 
 val set_loss_rate : t -> float -> unit

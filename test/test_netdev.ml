@@ -57,6 +57,63 @@ let test_pdu_delivery_integrity () =
   let expected = String.init 640 (fun i -> "payload-pattern-".[i mod 16]) in
   check Alcotest.string "bytes across the wire" expected !got
 
+let pattern bytes fill = String.init bytes (fun i -> fill.[i mod String.length fill])
+
+(* The adapter captures a PDU's bytes when [send_pdu] returns: overwriting
+   the sender's fbuf while the PDU is in flight must not reach the wire,
+   and a recycled staging buffer must not leak one PDU into the next. *)
+let test_in_flight_pdus_keep_their_bytes () =
+  let p = setup () in
+  let k1 = p.tb1.Testbed.kernel and k2 = p.tb2.Testbed.kernel in
+  let got = ref [] in
+  Osiris.set_rx_handler p.ad2 (fun ~vci:_ msg ->
+      got := Msg.to_string msg ~as_:k2 :: !got;
+      Msg.free_held msg ~dom:k2);
+  let round cases =
+    got := [];
+    List.iter
+      (fun (bytes, fill) ->
+        let msg = kernel_msg p.tb1 bytes (Some fill) in
+        Osiris.send_pdu p.ad1 ~vci:1 msg;
+        let fb = List.hd (Msg.fbufs msg) in
+        Fbuf_api.write fb ~as_:k1 ~off:0 (String.make bytes '#');
+        Msg.free_held msg ~dom:k1)
+      cases;
+    Des.run p.des;
+    check
+      Alcotest.(list string)
+      "each delivery byte-exact"
+      (List.map (fun (bytes, fill) -> pattern bytes fill) cases)
+      (List.rev !got)
+  in
+  (* Sub-page, page-crossing and over 16 KB; the second round runs on the
+     staging buffers the first one recycled. *)
+  let cases = [ (100, "sub-page/"); (6000, "crossing|"); (20000, "large~") ] in
+  round cases;
+  round (List.map (fun (bytes, fill) -> (bytes, String.uppercase_ascii fill)) cases)
+
+let test_lost_pdu_returns_staging () =
+  let p = setup () in
+  let k2 = p.tb2.Testbed.kernel in
+  let got = ref [] in
+  Osiris.set_rx_handler p.ad2 (fun ~vci:_ msg ->
+      got := Msg.to_string msg ~as_:k2 :: !got;
+      Msg.free_held msg ~dom:k2);
+  let send bytes fill =
+    let msg = kernel_msg p.tb1 bytes (Some fill) in
+    Osiris.send_pdu p.ad1 ~vci:1 msg;
+    Msg.free_held msg ~dom:p.tb1.Testbed.kernel;
+    Des.run p.des
+  in
+  Osiris.set_loss_rate p.ad1 1.0;
+  send 9000 "lost-payload-";
+  check Alcotest.int "first PDU lost" 1 (Osiris.pdus_dropped p.ad1);
+  Osiris.set_loss_rate p.ad1 0.0;
+  send 3000 "second.";
+  check
+    Alcotest.(list string)
+    "only the second PDU arrives, exact" [ pattern 3000 "second." ] !got
+
 let test_unconnected_send_rejected () =
   let des = Des.create () in
   let tb = Testbed.create () in
@@ -175,23 +232,41 @@ let test_rx_path_must_start_at_kernel () =
 
 let test_uncached_slack_is_cleared () =
   (* Security: the unused tail of an uncached receive buffer must not leak
-     another domain's old data. *)
+     another domain's old data. Each PDU length lands on frames that were
+     just dirtied and freed, and ends before, on and after a page
+     boundary. *)
   let p = setup () in
   let k2 = p.tb2.Testbed.kernel in
-  (* Dirty the free frames by allocating, writing and freeing. *)
-  let dirty = kernel_msg p.tb2 16384 (Some "SECRETSECRET") in
-  Msg.free_held dirty ~dom:k2;
-  let leaked = ref "" in
+  let ps = Testbed.page_size p.tb2 in
+  let dirty_alloc = Testbed.allocator p.tb2 ~domains:[ k2 ] Fbuf.plain in
+  let payload = ref "" and slack = ref "" in
   Osiris.set_rx_handler p.ad2 (fun ~vci:_ msg ->
       (* Read beyond the PDU inside the same fbuf. *)
       let fb = List.hd (Msg.fbufs msg) in
-      leaked := Fbuf_api.read_string fb ~as_:k2 ~off:(Msg.length msg) ~len:6;
+      let len = Msg.length msg in
+      payload := Msg.to_string msg ~as_:k2;
+      slack := Fbuf_api.read_string fb ~as_:k2 ~off:len ~len:(Fbuf.size fb - len);
       Msg.free_held msg ~dom:k2);
-  let msg = kernel_msg p.tb1 100 None in
-  Osiris.send_pdu p.ad1 ~vci:88 msg;
-  Msg.free_held msg ~dom:p.tb1.Testbed.kernel;
-  Des.run p.des;
-  check Alcotest.string "slack reads as zeros" (String.make 6 '\000') !leaked
+  List.iter
+    (fun len ->
+      let dirty =
+        Testproto.make_message ~alloc:dirty_alloc ~as_:k2 ~bytes:(4 * ps)
+          ~fill:"SECRET" ()
+      in
+      Msg.free_held dirty ~dom:k2;
+      let msg = kernel_msg p.tb1 len (Some "payload-") in
+      Osiris.send_pdu p.ad1 ~vci:88 msg;
+      Msg.free_held msg ~dom:p.tb1.Testbed.kernel;
+      Des.run p.des;
+      let npages = (len + ps - 1) / ps in
+      check Alcotest.string
+        (Printf.sprintf "%d B: payload intact" len)
+        (pattern len "payload-") !payload;
+      check Alcotest.string
+        (Printf.sprintf "%d B: slack reads as zeros" len)
+        (String.make ((npages * ps) - len) '\000')
+        !slack)
+    [ ps - 1; ps; ps + 1; (3 * ps) + 5 ]
 
 let test_no_demux_pays_copy () =
   (* An Ethernet-style adapter (no hardware demux) must copy each PDU from
@@ -331,6 +406,10 @@ let () =
       ( "delivery",
         [
           tc "pdu integrity" `Quick test_pdu_delivery_integrity;
+          tc "in-flight pdus keep their bytes" `Quick
+            test_in_flight_pdus_keep_their_bytes;
+          tc "lost pdu returns its staging buffer" `Quick
+            test_lost_pdu_returns_staging;
           tc "unconnected send rejected" `Quick test_unconnected_send_rejected;
           tc "multi-pdu ordering" `Quick test_multi_pdu_ordering;
           tc "bidirectional traffic" `Quick test_bidirectional_traffic;
