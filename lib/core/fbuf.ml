@@ -63,22 +63,8 @@ let ref_count t (d : Pd.t) =
 
 let total_refs t = Hashtbl.fold (fun _ n acc -> acc + n) t.refs 0
 
-let refcount_ops =
-  Fbufs_metrics.Metrics.counter ~name:"fbufs_refcount_ops_total"
-    ~help:"Fbuf reference-count churn (grants and releases)"
-    ~labels:[ "machine"; "op" ] ()
-
-let note_ref t op =
-  let m = t.m in
-  match Fbufs_sim.Machine.metrics m with
-  | None -> ()
-  | Some mx ->
-      Fbufs_metrics.Metrics.incr mx refcount_ops
-        ~labels:[ m.Fbufs_sim.Machine.name; op ] ()
-
 let add_ref t (d : Pd.t) =
-  Hashtbl.replace t.refs d.Pd.id (ref_count t d + 1);
-  note_ref t "add"
+  Hashtbl.replace t.refs d.Pd.id (ref_count t d + 1)
 
 let drop_ref t (d : Pd.t) =
   let n = ref_count t d in
@@ -87,8 +73,7 @@ let drop_ref t (d : Pd.t) =
       (Printf.sprintf "Fbuf.drop_ref: %s holds no reference to fbuf#%d"
          d.Pd.name t.id);
   if n = 1 then Hashtbl.remove t.refs d.Pd.id
-  else Hashtbl.replace t.refs d.Pd.id (n - 1);
-  note_ref t "drop"
+  else Hashtbl.replace t.refs d.Pd.id (n - 1)
 
 let is_mapped_in t (d : Pd.t) =
   Pd.equal d (originator t) || List.exists (Pd.equal d) t.mapped_in

@@ -1,5 +1,4 @@
 open Fbufs_sim
-module Mx = Fbufs_metrics.Metrics
 
 type victim = Allocator.t * Fbuf.t
 
@@ -33,11 +32,6 @@ let create region ?low_water_frames ?(order = lru_order) () =
   { region; low_water; order; allocators = [] }
 
 let register t alloc = t.allocators <- alloc :: t.allocators
-
-let victims_total =
-  Mx.counter ~name:"fbufs_pageout_victims_total"
-    ~help:"Fbufs evicted by pageout-daemon balance sweeps"
-    ~labels:[ "machine" ] ()
 
 let registered t = List.length t.allocators
 
@@ -78,12 +72,6 @@ let balance t =
       end)
     ordered;
   Stats.add m.Machine.stats "pageout.reclaimed" !reclaimed;
-  (match Machine.metrics m with
-  | None -> ()
-  | Some mx ->
-      if !reclaimed > 0 then
-        Mx.add mx victims_total ~labels:[ m.Machine.name ]
-          (float_of_int !reclaimed));
   (if Machine.tracing m then
      Machine.span_end m
        ~args:[ ("reclaimed", Fbufs_trace.Trace.Int !reclaimed) ]

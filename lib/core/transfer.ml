@@ -1,18 +1,7 @@
 open Fbufs_sim
 open Fbufs_vm
-module Mx = Fbufs_metrics.Metrics
 
 exception Dead_fbuf of string
-
-let sends_total =
-  Mx.counter ~name:"fbufs_sends_total"
-    ~help:"Cross-domain fbuf transfers (Transfer.send)"
-    ~labels:[ "machine"; "path" ] ()
-
-let secured_total =
-  Mx.counter ~name:"fbufs_secured_total"
-    ~help:"Write-permission revocations enforcing fbuf immutability"
-    ~labels:[ "machine" ] ()
 
 let check_active (fb : Fbuf.t) op =
   match fb.Fbuf.state with
@@ -49,10 +38,6 @@ let protect_originator (fb : Fbuf.t) =
       ~prot:Prot.Read_only;
     Stats.incr (stats fb) "fbuf.secured"
   end;
-  (match Machine.metrics fb.Fbuf.m with
-  | None -> ()
-  | Some mx ->
-      Mx.incr mx secured_total ~labels:[ fb.Fbuf.m.Machine.name ] ());
   fb.Fbuf.secured <- true
 
 let secure fb =
@@ -99,13 +84,6 @@ let send (fb : Fbuf.t) ~src ~dst =
   if not (Fbuf.is_mapped_in fb dst) then grant fb dst;
   Fbuf.add_ref fb dst;
   Stats.incr (stats fb) "fbuf.send";
-  (match Machine.metrics fb.Fbuf.m with
-  | None -> ()
-  | Some mx ->
-      Mx.incr mx sends_total
-        ~labels:
-          [ fb.Fbuf.m.Machine.name; string_of_int fb.Fbuf.path.Path.id ]
-        ());
   if Machine.tracing fb.Fbuf.m then
     trace_fbuf_event fb ~domain:src.Pd.name
       ~extra:[ ("dst", Fbufs_trace.Trace.Str dst.Pd.name) ]

@@ -412,16 +412,7 @@ let tlb_elision () =
     Fbufs_vm.Pmap.elision_enabled := enabled;
     Fun.protect ~finally:(fun () -> Fbufs_vm.Pmap.elision_enabled := true)
     @@ fun () ->
-    (* A registry on the machine so the elision counter is observable;
-       everything else comes from the machine's own stats. *)
-    let mx = Fbufs_metrics.Metrics.create () in
-    let saved = !Machine.default_metrics in
-    Machine.default_metrics := Some mx;
-    let tb =
-      Fun.protect
-        ~finally:(fun () -> Machine.default_metrics := saved)
-        (fun () -> Testbed.create ())
-    in
+    let tb = Testbed.create () in
     let m = tb.Testbed.m in
     let app = Testbed.user_domain tb "app" in
     let recv = Testbed.user_domain tb "recv" in
@@ -443,12 +434,7 @@ let tlb_elision () =
     for _ = 1 to 3 do
       roundtrip ()
     done;
-    let elided_total () =
-      Fbufs_metrics.Metrics.total_by_name mx
-        ~name:"fbufs_tlb_flushes_elided_total"
-    in
     let before = Stats.snapshot m.Machine.stats in
-    let el0 = elided_total () in
     let t0 = Machine.now m in
     let iters = 20 in
     for _ = 1 to iters do
@@ -459,7 +445,9 @@ let tlb_elision () =
     ( us,
       Stats.value d "tlb.shootdown",
       Stats.value d "tlb.shootdown_batch",
-      elided_total () -. el0 )
+      Stats.value d "tlb.elided.reuse"
+      +. Stats.value d "tlb.elided.evicted"
+      +. Stats.value d "tlb.elided.uncached" )
   in
   let row name (us, shots, batches, elided) =
     Printf.printf "%s  %s  %s  %s  %s\n"

@@ -1,7 +1,6 @@
 open Fbufs_sim
 open Fbufs_vm
 open Fbufs
-module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
 type mode = Rebuild | Integrated
@@ -48,26 +47,6 @@ let connect region ~src ~dst ?(mode = Rebuild) ?(facility = Mach)
 let facility c = c.facility
 let meta_allocator c = c.meta_alloc
 
-let calls_total =
-  Mx.counter ~name:"fbufs_ipc_calls_total"
-    ~help:"IPC crossings by facility and aggregate-transfer mode"
-    ~labels:[ "machine"; "facility"; "mode" ] ()
-
-let deallocs_total =
-  Mx.counter ~name:"fbufs_ipc_deallocs_total"
-    ~help:
-      "Deferred-deallocation dispositions: queued, piggybacked on a reply, \
-       or flushed by an explicit message"
-    ~labels:[ "machine"; "kind" ] ()
-
-let note_deallocs c kind n =
-  match Machine.metrics c.m with
-  | None -> ()
-  | Some mx ->
-      Mx.add mx deallocs_total
-        ~labels:[ c.m.Machine.name; kind ]
-        (float_of_int n)
-
 let src c = c.src
 let dst c = c.dst
 let mode c = c.mode
@@ -93,7 +72,6 @@ let explicit_flush c =
     Machine.charge ~kind:"ipc.reply" ~comp:Comp.Ipc c.m
       c.m.cost.Cost_model.ipc_reply;
     Stats.incr c.m.Machine.stats "ipc.explicit_dealloc_msg";
-    note_deallocs c "explicit" (List.length c.pending);
     process_pending c
   end
 
@@ -104,7 +82,6 @@ let free_deferred c msg =
     (fun (fb : Fbuf.t) ->
       if Pd.equal (Fbuf.originator fb) c.src then begin
         Stats.incr c.m.Machine.stats "ipc.dealloc_deferred";
-        note_deallocs c "deferred" 1;
         c.pending <- fb :: c.pending
       end
       else Transfer.free fb ~dom:c.dst)
@@ -165,17 +142,6 @@ let call c msg ~handler =
   in
   Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m call_cost;
   Stats.incr c.m.Machine.stats "ipc.call";
-  (match Machine.metrics c.m with
-  | None -> ()
-  | Some mx ->
-      Mx.incr mx calls_total
-        ~labels:
-          [
-            c.m.Machine.name;
-            facility_name c.facility;
-            (match c.mode with Rebuild -> "rebuild" | Integrated -> "integrated");
-          ]
-        ());
   (match c.mode with
   | Rebuild ->
       (* Flatten to an fbuf list, marshal one descriptor per buffer, and
@@ -235,7 +201,6 @@ let call c msg ~handler =
   if c.pending <> [] then begin
     Stats.add c.m.Machine.stats "ipc.dealloc_piggybacked"
       (List.length c.pending);
-    note_deallocs c "piggybacked" (List.length c.pending);
     if Machine.tracing c.m then
       Machine.trace_instant c.m ~domain:c.dst.Pd.name
         ~args:[ ("pending", Fbufs_trace.Trace.Int (List.length c.pending)) ]

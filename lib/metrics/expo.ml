@@ -1,8 +1,9 @@
-(* Exposition: render a metrics instance (registry cells + ledger) as
-   Prometheus text or JSON, and parse the JSON back for round-trip
-   testing. The ledger is exposed as a synthetic counter family
-   [fbufs_cost_us_total{machine,component,kind}] so one scrape carries
-   both the live counters and the cost attribution. *)
+(* Exposition: render a metrics instance (registry cells, machine event
+   tables, ledger) as Prometheus text or JSON, and parse the JSON back
+   for round-trip testing. The event tables and the ledger are exposed as
+   synthetic counter families [fbufs_events_total{machine,event}] and
+   [fbufs_cost_us_total{machine,component,kind}], so one scrape carries
+   the live counters, every machine event and the cost attribution. *)
 
 module Json = Fbufs_trace.Json
 module Histogram = Fbufs_trace.Histogram
@@ -39,19 +40,42 @@ let fnum x =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.9g" x
 
-(* Ledger rows presented as one more metric family. *)
-let ledger_family ledger =
-  List.map
-    (fun (r : Ledger.row) ->
-      ( [ r.machine; Component.label r.comp;
-          (if r.kind = "" then "untyped" else r.kind) ],
-        r.us,
-        r.count ))
-    (Ledger.rows ledger)
+type synthetic = {
+  s_name : string;
+  s_help : string;
+  s_labels : string list;
+  s_rows : (string list * float * int) list;  (* labels, value, count *)
+}
 
-let ledger_name = "fbufs_cost_us_total"
-let ledger_help = "Simulated microseconds charged, by Table 1 component"
-let ledger_labels = [ "machine"; "component"; "kind" ]
+(* Event tables and ledger rows presented as two more counter families,
+   after the registry's, empty ones omitted. Stats keeps no update count,
+   so an event cell's count is its (integer) value. *)
+let synthetic t =
+  [
+    {
+      s_name = "fbufs_events_total";
+      s_help = "Machine events, counted once in each machine's Stats table";
+      s_labels = [ "machine"; "event" ];
+      s_rows =
+        List.map
+          (fun ((machine, event), v) -> ([ machine; event ], v, int_of_float v))
+          (Metrics.events t);
+    };
+    {
+      s_name = "fbufs_cost_us_total";
+      s_help = "Simulated microseconds charged, by Table 1 component";
+      s_labels = [ "machine"; "component"; "kind" ];
+      s_rows =
+        List.map
+          (fun (r : Ledger.row) ->
+            ( [ r.machine; Component.label r.comp;
+                (if r.kind = "" then "untyped" else r.kind) ],
+              r.us,
+              r.count ))
+          (Ledger.rows (Metrics.ledger t));
+    };
+  ]
+  |> List.filter (fun f -> f.s_rows <> [])
 
 let to_prometheus t =
   let b = Buffer.create 4096 in
@@ -97,17 +121,17 @@ let to_prometheus t =
                (label_str d.labels s.labels)
                (fnum s.value)))
     samples;
-  let rows = ledger_family (Metrics.ledger t) in
-  if rows <> [] then begin
-    emit_header ledger_name ledger_help "counter";
-    List.iter
-      (fun (labels, us, _) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s%s %s\n" ledger_name
-             (label_str ledger_labels labels)
-             (fnum us)))
-      rows
-  end;
+  List.iter
+    (fun f ->
+      emit_header f.s_name f.s_help "counter";
+      List.iter
+        (fun (labels, v, _) ->
+          Buffer.add_string b
+            (Printf.sprintf "%s%s %s\n" f.s_name
+               (label_str f.s_labels labels)
+               (fnum v)))
+        f.s_rows)
+    (synthetic t);
   Buffer.contents b
 
 let sample_json name kind help (labels_n : string list) rows =
@@ -159,13 +183,11 @@ let to_json t =
             Some (sample_json d.name (kind_str d.kind) d.help d.labels rows))
       ids
   in
-  let ledger_rows = ledger_family (Metrics.ledger t) in
   let families =
-    if ledger_rows = [] then families
-    else
-      families
-      @ [ sample_json ledger_name "counter" ledger_help ledger_labels
-            ledger_rows ]
+    families
+    @ List.map
+        (fun f -> sample_json f.s_name "counter" f.s_help f.s_labels f.s_rows)
+        (synthetic t)
   in
   Json.Obj [ ("metrics", Json.List families) ]
 

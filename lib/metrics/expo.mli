@@ -1,7 +1,9 @@
 (** Exposition formats for a metrics instance.
 
-    Renders registry cells and the cost ledger as Prometheus text or
-    JSON. The ledger appears in both as a synthetic counter family
+    Renders registry cells, the attached machine event tables and the
+    cost ledger as Prometheus text or JSON. The event tables appear in
+    both as the synthetic counter family [fbufs_events_total{machine,event}]
+    (machines with the same name summed) and the ledger as
     [fbufs_cost_us_total{machine,component,kind}], so one exposition
     carries the whole observable state. *)
 

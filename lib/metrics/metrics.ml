@@ -66,10 +66,32 @@ type cell = {
 type t = {
   cells : (int * string list, cell) Hashtbl.t;
   ledger : Ledger.t;
+  (* Machine event tables, by machine name, newest first. The registry
+     holds a reader, not a copy: each event is counted once, in the
+     machine's own table, and read here only when exposed. *)
+  mutable events : (string * (unit -> (string * float) list)) list;
 }
 
-let create () = { cells = Hashtbl.create 128; ledger = Ledger.create () }
+let create () =
+  { cells = Hashtbl.create 128; ledger = Ledger.create (); events = [] }
+
 let ledger t = t.ledger
+
+let add_events t ~machine read = t.events <- (machine, read) :: t.events
+
+let events t =
+  let sums = Hashtbl.create 64 in
+  List.iter
+    (fun (machine, read) ->
+      List.iter
+        (fun (event, v) ->
+          let key = (machine, event) in
+          Hashtbl.replace sums key
+            (v +. Option.value ~default:0.0 (Hashtbl.find_opt sums key)))
+        (read ()))
+    t.events;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sums []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let check_labels d labels =
   if List.length labels <> List.length d.labels then

@@ -5,6 +5,9 @@
     per-run instances ({!t}). Instrumented code guards every update on the
     machine carrying an instance, so a run without one pays nothing —
     "disabled" is the absence of the instance, not a branch per sample.
+    Plain machine events (pmap ops, TLB misses, sends, PDUs, ...) are not
+    registry families: they are counted once in each machine's [Stats]
+    table, which an instance reads through {!add_events}.
 
     Definition names must match [fbufs_[a-z0-9_]+] and be unique; the
     lint rule L6 additionally checks, statically, that registrations use
@@ -55,6 +58,18 @@ val create : unit -> t
 
 val ledger : t -> Ledger.t
 (** The cost-attribution ledger carried alongside the counters. *)
+
+val add_events :
+  t -> machine:string -> (unit -> (string * float) list) -> unit
+(** Attach a machine's event table: [read ()] returns its current
+    counters as [(event, value)] pairs. A metered machine attaches its
+    own table when it is created, so machine events are counted once,
+    there, and the instance only reads them (exposed as
+    [fbufs_events_total{machine,event}]). *)
+
+val events : t -> ((string * string) * float) list
+(** Every attached table read now, summed per [(machine, event)] —
+    machines with the same name merge — and sorted. *)
 
 val incr : t -> def -> ?labels:string list -> unit -> unit
 val add : t -> def -> ?labels:string list -> float -> unit

@@ -5,23 +5,18 @@ module Msg = Fbufs_msg.Msg
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
-let net_pdus =
-  Mx.counter ~name:"fbufs_net_pdus_total"
-    ~help:"PDUs handled by the Osiris adapter, by direction"
-    ~labels:[ "machine"; "dir" ] ()
-
 let net_pdu_bytes =
   Mx.histogram ~name:"fbufs_net_pdu_bytes"
     ~help:"PDU payload sizes, by direction" ~labels:[ "machine"; "dir" ] ()
 
-let net_cells =
-  Mx.counter ~name:"fbufs_net_cells_sent_total"
-    ~help:"Link-level cells occupied on the wire" ~labels:[ "machine" ] ()
-
-let net_dropped =
-  Mx.counter ~name:"fbufs_net_pdus_dropped_total"
-    ~help:"PDUs lost in flight (simulated CRC failures)"
-    ~labels:[ "machine" ] ()
+(* PDU counts live in [Stats] (osiris.tx_pdu / rx_pdu / pdu_dropped);
+   only the size distribution needs the registry. *)
+let observe_pdu_bytes m dir len =
+  match Machine.metrics m with
+  | None -> ()
+  | Some mx ->
+      Mx.observe mx net_pdu_bytes ~labels:[ m.Machine.name; dir ]
+        (float_of_int len)
 
 let max_cached_paths = 16
 
@@ -242,12 +237,7 @@ let deliver t ~sender ~flight ~cause ~vci ~len data =
     t.m.cost.Cost_model.driver_op;
   Stats.incr t.m.stats "osiris.rx_pdu";
   t.pdus_received <- t.pdus_received + 1;
-  (match Machine.metrics t.m with
-  | None -> ()
-  | Some mx ->
-      let labels = [ t.m.Machine.name; "rx" ] in
-      Mx.incr mx net_pdus ~labels ();
-      Mx.observe mx net_pdu_bytes ~labels (float_of_int len));
+  observe_pdu_bytes t.m "rx" len;
   let ps = t.m.Machine.cost.Cost_model.page_size in
   let npages = max 1 ((len + ps - 1) / ps) in
   let cached_path = Hashtbl.mem t.vci_allocs vci in
@@ -336,13 +326,7 @@ let send_pdu t ~vci msg =
     / t.m.cost.Cost_model.cell_payload
   in
   t.cells_sent <- t.cells_sent + cells;
-  (match Machine.metrics t.m with
-  | None -> ()
-  | Some mx ->
-      let labels = [ t.m.Machine.name; "tx" ] in
-      Mx.incr mx net_pdus ~labels ();
-      Mx.observe mx net_pdu_bytes ~labels (float_of_int len);
-      Mx.add mx net_cells ~labels:[ t.m.Machine.name ] (float_of_int cells));
+  observe_pdu_bytes t.m "tx" len;
   let tx_time = float_of_int cells *. Cost_model.cell_time t.m.cost in
   let start = Float.max (Machine.now t.m) t.link_free_at in
   let finish = start +. tx_time in
@@ -373,9 +357,6 @@ let send_pdu t ~vci msg =
     t.pdus_dropped <- t.pdus_dropped + 1;
     return_staging t data;
     Stats.incr t.m.stats "osiris.pdu_dropped";
-    (match Machine.metrics t.m with
-    | None -> ()
-    | Some mx -> Mx.incr mx net_dropped ~labels:[ t.m.Machine.name ] ());
     if Machine.tracing t.m then begin
       Machine.trace_instant t.m
         ~args:[ ("vci", Fbufs_trace.Trace.Int vci) ]

@@ -30,12 +30,22 @@ let create ?(interval_us = 1_000_000.0) ?(ppf = Format.std_formatter) ?monitor
     frames = 0;
   }
 
-(* Counter total with the per-frame delta, updating the saved value. *)
-let delta t name =
-  let total = Mx.total_by_name t.metrics ~name in
-  let prev = Option.value ~default:0.0 (Hashtbl.find_opt t.prev name) in
-  Hashtbl.replace t.prev name total;
+(* Total with the per-frame delta, updating the saved value. *)
+let track t key total =
+  let prev = Option.value ~default:0.0 (Hashtbl.find_opt t.prev key) in
+  Hashtbl.replace t.prev key total;
   (total, total -. prev)
+
+let delta t name = track t name (Mx.total_by_name t.metrics ~name)
+
+(* Machine events [names] summed over every metered machine (from one
+   [Mx.events] read, [cells]), with the per-frame delta under [key]. *)
+let events_delta t cells key names =
+  track t key
+    (List.fold_left
+       (fun acc ((_, event), v) ->
+         if List.mem event names then acc +. v else acc)
+       0.0 cells)
 
 let gauge_sum t name =
   List.fold_left
@@ -75,13 +85,16 @@ let frame t ~now_us =
   let p = Format.fprintf in
   let ppf = t.ppf in
   p ppf "── top @@ %.1f us ─ frame %d ─@." now_us t.frames;
-  let sends, d_sends = delta t "fbufs_sends_total" in
-  let pdus, d_pdus = delta t "fbufs_net_pdus_total" in
-  let pdu_drops, d_pdu_drops = delta t "fbufs_net_pdus_dropped_total" in
+  let ev = events_delta t (Mx.events t.metrics) in
+  let sends, d_sends = ev "sends" [ "fbuf.send" ] in
+  let pdus, d_pdus = ev "pdus" [ "osiris.tx_pdu"; "osiris.rx_pdu" ] in
+  let pdu_drops, d_pdu_drops = ev "lost" [ "osiris.pdu_dropped" ] in
   p ppf "  sends %12.0f (+%.0f)   net pdus %12.0f (+%.0f)  lost %.0f (+%.0f)@."
     sends d_sends pdus d_pdus pdu_drops d_pdu_drops;
   let allocs, d_allocs = delta t "fbufs_alloc_total" in
-  let secured, d_secured = delta t "fbufs_secured_total" in
+  let secured, d_secured =
+    ev "secured" [ "fbuf.secured"; "fbuf.secure_noop" ]
+  in
   p ppf "  allocs %11.0f (+%.0f)   secured %13.0f (+%.0f)@." allocs d_allocs
     secured d_secured;
   let pol_drops, d_pol_drops = delta t "fbufs_policy_dropped_total" in
@@ -101,8 +114,16 @@ let frame t ~now_us =
   let thr = gauge_sum t "fbufs_policy_threshold_pages" in
   if held > 0.0 || thr > 0.0 then
     p ppf "  held pages %7.0f   threshold %11.0f@." held thr;
-  let shoot, d_shoot = delta t "fbufs_tlb_shootdowns_total" in
-  let elided, d_elided = delta t "fbufs_tlb_flushes_elided_total" in
+  let shoot, d_shoot =
+    ev "shootdowns"
+      [
+        "tlb.shootdown"; "tlb.shootdown_batch_entry"; "tlb.shootdown_cancelled";
+      ]
+  in
+  let elided, d_elided =
+    ev "elided"
+      [ "tlb.elided.reuse"; "tlb.elided.evicted"; "tlb.elided.uncached" ]
+  in
   p ppf "  tlb shootdowns %3.0f (+%.0f)   elided %14.0f (+%.0f)@." shoot
     d_shoot elided d_elided;
   (match t.monitor with

@@ -31,13 +31,21 @@ let default_tick : (float -> unit) option ref = ref None
 let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
     ?(nframes = 4096) ?(tlb_entries = 64) ?(seed = 42) () =
   let rng = Rng.create seed in
+  let stats = Stats.create () in
+  (* A metered machine's events are counted once, in [stats]; the
+     installed instance reads that table instead of keeping a copy. *)
+  Option.iter
+    (fun mx ->
+      Fbufs_metrics.Metrics.add_events mx ~machine:name (fun () ->
+          Stats.to_list stats))
+    !default_metrics;
   {
     name;
     clock = Clock.create ();
     cost;
     pmem = Phys_mem.create ~page_size:cost.Cost_model.page_size ~nframes;
     tlb = Tlb.create ~entries:tlb_entries (Rng.split rng);
-    stats = Stats.create ();
+    stats;
     rng;
     busy = { busy_us = 0.0 };
     next_asid = 1;
@@ -52,7 +60,6 @@ let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
 
 let set_trace m tr = m.trace <- tr
 let tracing m = m.trace <> None
-let metered m = m.metrics <> None
 let metrics m = m.metrics
 let set_spans m s = m.spans <- s
 let spanning m = m.spans <> None

@@ -36,7 +36,10 @@ val default_trace : Fbufs_trace.Trace.t option ref
 
 val default_metrics : Fbufs_metrics.Metrics.t option ref
 (** Same install pattern as {!default_trace}, for the metrics registry
-    and cost-attribution ledger. [None] (the default) means machines are
+    and cost-attribution ledger. A machine created while it is set is
+    metered: {!create} hands the instance a reader of the machine's
+    {!Stats} table, which the exposition renders as
+    [fbufs_events_total]. [None] (the default) means machines are
     unmetered and the instrumented paths do no registry work at all. *)
 
 val default_spans : Fbufs_span.Span.t option ref
@@ -74,18 +77,18 @@ val tracing : t -> bool
     lists must test this first so a disabled trace costs one pointer
     comparison and no allocation. *)
 
-val metered : t -> bool
-(** Whether a metrics instance is attached; the counterpart of {!tracing}
-    for registry updates — instrumentation guards on it (or matches on
-    {!metrics}) so an unmetered machine pays one pointer comparison. *)
-
 val metrics : t -> Fbufs_metrics.Metrics.t option
+(** The attached metrics instance, if the machine is metered. Event
+    counts go to {!Stats} on every machine; only the registry families
+    (per-path allocator counters and gauges, policy, monitors, the PDU
+    size histogram) match on this, so an unmetered machine pays one
+    pointer comparison there. *)
 
 val set_spans : t -> Fbufs_span.Span.t option -> unit
 
 val spanning : t -> bool
 (** Whether a causal span sink is attached — the counterpart of
-    {!tracing}/{!metered} for the span instrumentation. *)
+    {!tracing} for the span instrumentation. *)
 
 val spans : t -> Fbufs_span.Span.t option
 

@@ -2,7 +2,13 @@
 
     Subsystems record what happened (TLB misses, pmap updates, pages zeroed,
     faults, IPC calls, ...) so experiments and tests can assert on mechanism
-    behaviour rather than only on elapsed time. *)
+    behaviour rather than only on elapsed time.
+
+    This is the one counter for machine events: each event is counted
+    here once. A metered machine ({!Machine.default_metrics} set when it
+    is created) hands its table to the metrics instance, whose exposition
+    reads it as [fbufs_events_total{machine,event}]; no registry family
+    keeps a second copy. *)
 
 type t
 

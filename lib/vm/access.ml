@@ -1,16 +1,5 @@
 open Fbufs_sim
-module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
-
-let tlb_events =
-  Mx.counter ~name:"fbufs_tlb_events_total"
-    ~help:"TLB misses and write-protection (mod) faults taken on access"
-    ~labels:[ "machine"; "event" ] ()
-
-let note_tlb (m : Machine.t) event =
-  match Machine.metrics m with
-  | None -> ()
-  | Some mx -> Mx.incr mx tlb_events ~labels:[ m.Machine.name; event ] ()
 
 let page_size (dom : Pd.t) = dom.m.cost.Cost_model.page_size
 
@@ -65,7 +54,6 @@ let translate (dom : Pd.t) ~vaddr ~write =
           Machine.charge ~kind:"tlb.refill" ~comp:Comp.Tlb_flush m
             m.cost.Cost_model.tlb_refill;
           Stats.incr m.stats "tlb.miss";
-          note_tlb m "miss";
           match Pmap.lookup pmap ~vpn with
           | Some e when (not write) || e.Pmap.writable ->
               Tlb.insert m.tlb ~asid ~vpn ~writable:e.Pmap.writable;
@@ -77,7 +65,6 @@ let translate (dom : Pd.t) ~vaddr ~write =
           Machine.charge ~kind:"tlb.mod_fault" ~comp:Comp.Tlb_flush m
             m.cost.Cost_model.tlb_mod_fault;
           Stats.incr m.stats "tlb.mod_fault";
-          note_tlb m "mod_fault";
           match Pmap.lookup pmap ~vpn with
           | Some e when e.Pmap.writable ->
               (* Permission was upgraded since the entry was cached. *)

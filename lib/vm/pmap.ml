@@ -1,5 +1,4 @@
 open Fbufs_sim
-module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
 type entry = { frame : Phys_mem.frame_id; writable : bool }
@@ -21,41 +20,6 @@ let elision_enabled = ref true
    catch this within one step. *)
 let chaos_defer_downgrade = ref false
 
-let pmap_ops =
-  Mx.counter ~name:"fbufs_pmap_ops_total" ~help:"Pmap mutations by operation"
-    ~labels:[ "machine"; "op" ] ()
-
-let tlb_shootdowns =
-  Mx.counter ~name:"fbufs_tlb_shootdowns_total"
-    ~help:
-      "TLB shootdowns by disposition: immediate on downgrade/remove, \
-       drained in a batch, or cancelled by translation reuse"
-    ~labels:[ "machine"; "reason" ] ()
-
-let tlb_elided =
-  Mx.counter ~name:"fbufs_tlb_flushes_elided_total"
-    ~help:
-      "TLB flushes elided because the translation was reused unchanged, \
-       already evicted, or never cached"
-    ~labels:[ "machine"; "reason" ] ()
-
-let note_op_m m op =
-  match Machine.metrics m with
-  | None -> ()
-  | Some mx -> Mx.incr mx pmap_ops ~labels:[ m.Machine.name; op ] ()
-
-let note_shootdown m ~reason =
-  match Machine.metrics m with
-  | None -> ()
-  | Some mx -> Mx.incr mx tlb_shootdowns ~labels:[ m.Machine.name; reason ] ()
-
-let note_elided m ~reason =
-  match Machine.metrics m with
-  | None -> ()
-  | Some mx -> Mx.incr mx tlb_elided ~labels:[ m.Machine.name; reason ] ()
-
-let note_op t op = note_op_m t.m op
-
 let create m ~asid = { m; asid; table = Ptable.create () }
 
 let asid t = t.asid
@@ -67,11 +31,10 @@ let cached t ~vpn =
 
 (* One immediate per-page shootdown: the PR6-era cost, still paid for
    every non-deferrable invalidation. *)
-let shoot_now t ~vpn ~reason =
+let shoot_now t ~vpn =
   Machine.charge ~kind:"tlb.shootdown" ~comp:Comp.Tlb_flush t.m
     t.m.cost.Cost_model.tlb_shootdown;
   Stats.incr t.m.stats "tlb.shootdown";
-  note_shootdown t.m ~reason;
   Tlb.invalidate t.m.tlb ~asid:t.asid ~vpn
 
 (* Each mutation is visible on the trace timeline as the Complete slice
@@ -80,7 +43,6 @@ let enter t ~vpn ~frame ~writable =
   Machine.charge ~kind:"pmap.enter" ~comp:Comp.Map t.m
     t.m.cost.Cost_model.pmap_enter;
   Stats.incr t.m.stats "pmap.enter";
-  note_op t "enter";
   (match Tlb.find_pending t.m.tlb ~asid:t.asid ~vpn with
   | None -> ()
   | Some p ->
@@ -88,18 +50,18 @@ let enter t ~vpn ~frame ~writable =
       if not (cached t ~vpn) then
         (* The stale entry fell out of the TLB on its own; nothing left
            to shoot down. *)
-        note_elided t.m ~reason:"evicted"
+        Stats.incr t.m.stats "tlb.elided.evicted"
       else if p.Tlb.p_frame = frame && p.Tlb.p_writable = writable then begin
         (* Identical translation re-entered (fbuf reuse): the still-cached
            entry is correct again, so the queued shootdown — and the
            refill the flush would have forced — are both elided. *)
-        note_shootdown t.m ~reason:"elided-cancel";
-        note_elided t.m ~reason:"reuse"
+        Stats.incr t.m.stats "tlb.shootdown_cancelled";
+        Stats.incr t.m.stats "tlb.elided.reuse"
       end
       else
         (* Translation changed while the old entry may still be cached:
            the deferral window ends here, immediately. *)
-        shoot_now t ~vpn ~reason:"remove");
+        shoot_now t ~vpn);
   Ptable.set t.table vpn { frame; writable }
 
 let protect t ~vpn ~writable =
@@ -109,10 +71,8 @@ let protect t ~vpn ~writable =
       Machine.charge ~kind:"pmap.protect" ~comp:Comp.Secure t.m
         t.m.cost.Cost_model.pmap_protect;
       Stats.incr t.m.stats "pmap.protect";
-      note_op t
-        (if (not e.writable) && writable then "protect-upgrade" else "protect");
       if e.writable && not writable then begin
-        if not !elision_enabled then shoot_now t ~vpn ~reason:"downgrade"
+        if not !elision_enabled then shoot_now t ~vpn
         else if cached t ~vpn then
           if !chaos_defer_downgrade then
             (* Fault injection: deferring this one is unsound (see above). *)
@@ -121,11 +81,11 @@ let protect t ~vpn ~writable =
           else
             (* A cached writable entry another access can still use must
                die before the pmap says read-only: never deferred. *)
-            shoot_now t ~vpn ~reason:"downgrade"
+            shoot_now t ~vpn
         else
           (* Never cached (or already evicted): the downgrade is visible
              to the next refill for free. *)
-          note_elided t.m ~reason:"uncached"
+          Stats.incr t.m.stats "tlb.elided.uncached"
       end;
       Ptable.set t.table vpn { e with writable }
 
@@ -136,8 +96,7 @@ let remove t ~vpn =
       Machine.charge ~kind:"pmap.remove" ~comp:Comp.Unmap t.m
         t.m.cost.Cost_model.pmap_remove;
       Stats.incr t.m.stats "pmap.remove";
-      note_op t "remove";
-      if not !elision_enabled then shoot_now t ~vpn ~reason:"remove"
+      if not !elision_enabled then shoot_now t ~vpn
       else if cached t ~vpn then
         (* Deferred-safe: the access path re-consults this pmap on every
            TLB hit, so a stale (non-writable-over-readonly) entry cannot
@@ -145,7 +104,7 @@ let remove t ~vpn =
            cancellation if the identical translation comes back first. *)
         Tlb.defer t.m.tlb ~asid:t.asid ~vpn ~frame:e.frame
           ~writable:e.writable
-      else note_elided t.m ~reason:"uncached";
+      else Stats.incr t.m.stats "tlb.elided.uncached";
       Ptable.remove t.table vpn;
       Some e
 

@@ -7,7 +7,14 @@
     handler reads this table; every mutation charges simulated time, and
     mutations of entries that may be cached in the TLB pay for TLB
     consistency — immediately, batched at the next barrier, or not at all
-    when the translation comes back unchanged (see {!elision_enabled}). *)
+    when the translation comes back unchanged (see {!elision_enabled}).
+
+    Each disposition is counted in the machine's [Stats]:
+    ["tlb.shootdown"] (immediate, downgrade or remove),
+    ["tlb.shootdown_cancelled"] (queued, then cancelled by reuse), and
+    ["tlb.elided.reuse"], ["tlb.elided.evicted"], ["tlb.elided.uncached"]
+    (flushes not paid: translation re-entered unchanged, already evicted,
+    never cached). {!Tlb_sync.drain} counts the batched rest. *)
 
 type entry = { frame : Fbufs_sim.Phys_mem.frame_id; writable : bool }
 
@@ -54,13 +61,3 @@ val remove : t -> vpn:int -> entry option
     nothing) if absent. *)
 
 val entry_count : t -> int
-
-(** {2 Metrics hooks} (shared with the drain path in {!Tlb_sync}) *)
-
-val note_shootdown : Fbufs_sim.Machine.t -> reason:string -> unit
-(** Count one shootdown in [fbufs_tlb_shootdowns_total]; [reason] is one
-    of ["downgrade"], ["remove"], ["batch"], ["elided-cancel"]. *)
-
-val note_elided : Fbufs_sim.Machine.t -> reason:string -> unit
-(** Count one elided flush in [fbufs_tlb_flushes_elided_total]; [reason]
-    is one of ["reuse"], ["evicted"], ["uncached"]. *)

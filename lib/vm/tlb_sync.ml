@@ -17,6 +17,4 @@ let drain m =
         (m.cost.Cost_model.tlb_shootdown_batch_base
         +. (float_of_int n *. m.cost.Cost_model.tlb_shootdown_batch_entry));
       Stats.incr m.stats "tlb.shootdown_batch";
-      for _ = 1 to n do
-        Pmap.note_shootdown m ~reason:"batch"
-      done
+      Stats.add m.stats "tlb.shootdown_batch_entry" n

@@ -9,4 +9,6 @@
 val drain : Fbufs_sim.Machine.t -> unit
 (** Invalidate every queued entry and charge one batched barrier
     ([tlb_shootdown_batch_base] + n * [tlb_shootdown_batch_entry], in the
-    [Tlb_flush] component); charges nothing when the queue is empty. *)
+    [Tlb_flush] component); charges nothing when the queue is empty.
+    Counts one ["tlb.shootdown_batch"] per drain and one
+    ["tlb.shootdown_batch_entry"] per invalidated entry in [Stats]. *)

@@ -1,5 +1,4 @@
 open Fbufs_sim
-module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
 type entry = {
@@ -37,40 +36,13 @@ let name t = t.name
 let pmap t = t.pmap
 let machine t = t.m
 
-let vm_ops =
-  Mx.counter ~name:"fbufs_vm_ops_total"
-    ~help:"VM map operations by granularity (range setup vs per-page)"
-    ~labels:[ "machine"; "op" ] ()
-
-let batched_saved =
-  Mx.counter ~name:"fbufs_vm_batched_pages_saved_total"
-    ~help:
-      "Range-op invocations avoided by batching multi-page VM operations \
-       (pages beyond the first per batched call)"
-    ~labels:[ "machine" ] ()
-
-let note_vm_op t op =
-  match Machine.metrics t.m with
-  | None -> ()
-  | Some mx -> Mx.incr mx vm_ops ~labels:[ t.m.Machine.name; op ] ()
-
-let note_batch t npages =
-  if npages > 1 then
-    match Machine.metrics t.m with
-    | None -> ()
-    | Some mx ->
-        Mx.add mx batched_saved ~labels:[ t.m.Machine.name ]
-          (float_of_int (npages - 1))
-
 let charge_range_op ?comp t =
   Machine.charge ~kind:"vm.range_op" ?comp t.m t.m.cost.Cost_model.vm_range_op;
-  Stats.incr t.m.stats "vm.range_op";
-  note_vm_op t "range"
+  Stats.incr t.m.stats "vm.range_op"
 
 let charge_page_op ?comp t =
   Machine.charge ~kind:"vm.page_op" ?comp t.m t.m.cost.Cost_model.vm_page_op;
-  Stats.incr t.m.stats "vm.page_op";
-  note_vm_op t "page"
+  Stats.incr t.m.stats "vm.page_op"
 
 let reserve_private t ~npages =
   charge_range_op ~comp:Comp.Alloc t;
@@ -80,7 +52,6 @@ let reserve_private t ~npages =
 
 let map_zero_fill t ~vpn ~npages =
   charge_range_op ~comp:Comp.Map t;
-  note_batch t npages;
   for i = 0 to npages - 1 do
     charge_page_op ~comp:Comp.Map t;
     Ptable.set t.table (vpn + i)
@@ -96,7 +67,6 @@ let map_frame t ~vpn ~frame ~prot ~eager =
 
 let protect t ~vpn ~npages ~prot =
   charge_range_op ~comp:Comp.Secure t;
-  note_batch t npages;
   for i = 0 to npages - 1 do
     match Ptable.find t.table (vpn + i) with
     | None -> invalid_arg "Vm_map.protect: page not mapped"
@@ -120,7 +90,6 @@ let free_frame t f =
 
 let unmap t ~vpn ~npages ~free_frames =
   charge_range_op ~comp:Comp.Unmap t;
-  note_batch t npages;
   (* Walk the range backwards so freed frames land on the physical
      free stack in reverse page order: a subsequent same-size allocation
      of this address range pops them back page 0..n-1 and re-creates the
@@ -142,7 +111,6 @@ let unmap t ~vpn ~npages ~free_frames =
 let copy_cow ~src ~dst ~vpn ~npages =
   charge_range_op ~comp:Comp.Map src;
   charge_range_op ~comp:Comp.Map dst;
-  note_batch src npages;
   for i = 0 to npages - 1 do
     let p = vpn + i in
     match Ptable.find src.table p with
@@ -168,7 +136,6 @@ let copy_cow ~src ~dst ~vpn ~npages =
 
 let convert_zero_fill t ~vpn ~npages =
   charge_range_op ~comp:Comp.Unmap t;
-  note_batch t npages;
   for i = 0 to npages - 1 do
     match Ptable.find t.table (vpn + i) with
     | None -> invalid_arg "Vm_map.convert_zero_fill: page not mapped"

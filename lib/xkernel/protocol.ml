@@ -24,5 +24,4 @@ let machine t = t.dom.Pd.m
 let charge_op t =
   let m = machine t in
   Machine.charge ~comp:Fbufs_metrics.Component.Proto m
-    m.Machine.cost.Cost_model.proto_op;
-  Stats.incr m.Machine.stats ("proto." ^ t.name)
+    m.Machine.cost.Cost_model.proto_op

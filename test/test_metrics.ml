@@ -165,33 +165,84 @@ let test_table1_component_sum_exact () =
     (abs_float (per_machine -. Ledger.total_us l)
     <= 1e-9 *. Ledger.total_us l)
 
+(* One metered machine, "mx-test", sending 50 cached/volatile fbufs. *)
+let metered_single_machine () =
+  metered (fun () ->
+      let tb = Testbed.create ~name:"mx-test" () in
+      let app = Testbed.user_domain tb "app" in
+      let dst = Testbed.user_domain tb "dst" in
+      let alloc =
+        Testbed.allocator tb ~domains:[ app; dst ] Fbuf.cached_volatile
+      in
+      for i = 1 to 50 do
+        let fb = Allocator.alloc alloc ~npages:(1 + (i mod 3)) in
+        Fbuf_api.touch_write fb ~as_:app;
+        Transfer.send fb ~src:app ~dst;
+        Transfer.free fb ~dom:dst;
+        Transfer.free fb ~dom:app
+      done;
+      tb.Testbed.m)
+
 (* On one machine the ledger's arrival-order accumulator replays exactly
    the additions [Machine.charge] makes to [busy_us]: bitwise equality,
    not approximate. *)
 let test_single_machine_charged_is_busy () =
-  let (m, _), mx =
-    metered (fun () ->
-        let tb = Testbed.create ~name:"mx-test" () in
-        let app = Testbed.user_domain tb "app" in
-        let dst = Testbed.user_domain tb "dst" in
-        let alloc =
-          Testbed.allocator tb ~domains:[ app; dst ] Fbuf.cached_volatile
-        in
-        for i = 1 to 50 do
-          let fb = Allocator.alloc alloc ~npages:(1 + (i mod 3)) in
-          Fbuf_api.touch_write fb ~as_:app;
-          Transfer.send fb ~src:app ~dst;
-          Transfer.free fb ~dom:dst;
-          Transfer.free fb ~dom:app
-        done;
-        (tb.Testbed.m, ()))
-  in
+  let m, mx = metered_single_machine () in
   let charged = Ledger.charged_us (Mx.ledger mx) ~machine:"mx-test" in
   Alcotest.(check bool)
     (Printf.sprintf "ledger %.17g us = busy %.17g us (bitwise)" charged
        (Machine.busy_us m))
     true
     (charged = Machine.busy_us m)
+
+(* Each machine event is counted once, in the machine's Stats table, and
+   the exposition reads that table: every counter round-trips through
+   JSON as one fbufs_events_total cell, and none of the registry
+   families that used to shadow those counts is exposed. *)
+let test_stats_exposed_as_events () =
+  let m, mx = metered_single_machine () in
+  let json = Expo.to_json_string mx in
+  let flats = Expo.of_json_string json in
+  let stats = Stats.to_list m.Machine.stats in
+  check (Alcotest.float 0.0) "the run counted its sends" 50.0
+    (Stats.value stats "fbuf.send");
+  List.iter
+    (fun (name, v) ->
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "fbufs_events_total{event=%S}" name)
+        v
+        (flat_value flats "fbufs_events_total"
+           [ ("machine", "mx-test"); ("event", name) ]))
+    stats;
+  check Alcotest.int "one event cell per Stats counter" (List.length stats)
+    (List.length
+       (List.filter
+          (fun (f : Expo.flat) -> f.Expo.name = "fbufs_events_total")
+          flats));
+  let prom = Expo.to_prometheus mx in
+  List.iter
+    (fun family ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s not exposed" family)
+        false
+        (contains json family || contains prom family))
+    [
+      "fbufs_sends_total";
+      "fbufs_secured_total";
+      "fbufs_net_pdus_total";
+      "fbufs_net_pdus_dropped_total";
+      "fbufs_tlb_events_total";
+      "fbufs_pmap_ops_total";
+      "fbufs_vm_ops_total";
+      "fbufs_ipc_calls_total";
+      "fbufs_ipc_deallocs_total";
+      "fbufs_pageout_victims_total";
+      "fbufs_refcount_ops_total";
+      "fbufs_vm_batched_pages_saved_total";
+      "fbufs_net_cells_sent_total";
+      "fbufs_tlb_shootdowns_total";
+      "fbufs_tlb_flushes_elided_total";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Metering transparency                                               *)
@@ -241,6 +292,7 @@ let () =
         [
           tc "JSON round-trip" `Quick test_json_round_trip;
           tc "Prometheus text" `Quick test_prometheus_text;
+          tc "Stats exposed as events" `Quick test_stats_exposed_as_events;
         ] );
       ( "exactness",
         [

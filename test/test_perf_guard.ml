@@ -376,6 +376,39 @@ let test_obs_not_linked_into_bench () =
         (contains src "fbufs_obs"))
     [ "bench/dune"; "lib/harness/dune"; "examples/dune" ]
 
+(* Machine events are counted once, in the machine's [Stats] table,
+   which the metrics exposition reads. The mechanism layers must not
+   grow registry counters that shadow those events again. *)
+let test_no_shadow_counters_in_mechanism () =
+  let dir_ml d =
+    Sys.readdir (in_tree d)
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.sort compare
+    |> List.map (fun f -> d ^ "/" ^ f)
+  in
+  let files =
+    dir_ml "lib/vm" @ dir_ml "lib/ipc"
+    @ [
+        "lib/core/fbuf.ml";
+        "lib/core/transfer.ml";
+        "lib/core/pageout.ml";
+        "lib/netdev/osiris.ml";
+      ]
+  in
+  Alcotest.(check bool) "mechanism sources found" true
+    (List.length files > 6);
+  List.iter
+    (fun file ->
+      let src = read_file (in_tree file) in
+      List.iter
+        (fun reg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s registers no %s" file reg)
+            false (contains src reg))
+        [ "Metrics.counter"; "Mx.counter" ])
+    files
+
 (* The observability layer rides the same sink refs: with no recorder
    armed and no monitor installed, a cycle pays nothing beyond the
    existing pointer comparisons. The bare side must stay within noise of
@@ -516,6 +549,8 @@ let () =
             test_policy_not_linked_into_bench;
           Alcotest.test_case "obs stays off the hot path" `Quick
             test_obs_not_linked_into_bench;
+          Alcotest.test_case "no shadow counters in mechanism" `Quick
+            test_no_shadow_counters_in_mechanism;
         ] );
       ( "obs overhead",
         [
