@@ -170,7 +170,7 @@ let traced term =
   let wrap chrome jsonl metrics spans record dump_on_exit f =
     H.Tracing.with_trace ?chrome ?jsonl (fun () ->
         H.Metrics_run.with_metrics ?file:metrics (fun () ->
-            H.Spans_run.with_spans ?jsonl:spans (fun () ->
+            H.Spans_run.with_causal_spans ?jsonl:spans (fun () ->
                 with_recorder ?dir:record ~dump_on_exit f)))
   in
   Term.(

@@ -366,11 +366,7 @@ let alloc t ~npages =
           ("npages", Int npages);
           ("cache", Str (if cache_hit then "hit" else "miss"));
         ]
-      "fbuf.alloc";
-    (* The async span is the causal backbone of one transfer: everything
-       that happens to this buffer until its last free links to this id. *)
-    Machine.async_begin m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
-      ~id:fb.Fbuf.id "fbuf.life"
+      "fbuf.alloc"
   end;
   fb.Fbuf.on_all_freed <- Some (on_all_freed t);
   fb.Fbuf.last_alloc_us <- Machine.now m;

@@ -53,7 +53,7 @@ let candidates t =
 let balance t =
   let m = Region.machine t.region in
   let reclaimed = ref 0 in
-  let sp = Machine.span_begin m "pageout.balance" in
+  let t0 = Machine.now m in
   (* Victim selection reasons about which frames are reachable, so the
      deferred-shootdown queue must be empty before the sweep starts. *)
   Fbufs_vm.Tlb_sync.drain m;
@@ -72,10 +72,9 @@ let balance t =
       end)
     ordered;
   Stats.add m.Machine.stats "pageout.reclaimed" !reclaimed;
-  (if Machine.tracing m then
-     Machine.span_end m
-       ~args:[ ("reclaimed", Fbufs_trace.Trace.Int !reclaimed) ]
-       sp
-   else Machine.span_end m sp);
+  if Machine.tracing m then
+    Machine.trace_complete m ~since:t0
+      ~args:[ ("reclaimed", Fbufs_trace.Trace.Int !reclaimed) ]
+      "pageout.balance";
   Machine.seq_point m "pageout.balance";
   !reclaimed

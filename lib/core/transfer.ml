@@ -145,8 +145,10 @@ let free (fb : Fbuf.t) ~dom =
     end
     else teardown fb;
     Stats.incr (stats fb) "fbuf.last_free";
-    Machine.async_end fb.Fbuf.m ~domain:dom.Pd.name
-      ~path_id:fb.Fbuf.path.Path.id ~id:fb.Fbuf.id "fbuf.life";
+    (* The buffer's life, allocation to last free, as one slice. *)
+    if Machine.tracing fb.Fbuf.m then
+      Machine.trace_complete fb.Fbuf.m ~since:fb.Fbuf.last_alloc_us
+        ~domain:dom.Pd.name ~path_id:fb.Fbuf.path.Path.id "fbuf.life";
     match fb.Fbuf.on_all_freed with Some f -> f fb | None -> ()
   end
 

@@ -43,7 +43,7 @@ let roll_transfer_walls mx sink =
       Mx.observe mx transfer_wall ~labels:[ tr.Span.label ] s.Critical.wall_us)
     (Span.transfers sink)
 
-let with_spans ?jsonl ?chrome ?(summary = false) ?top f =
+let with_causal_spans ?jsonl ?chrome ?(summary = false) ?top f =
   match (jsonl, chrome, summary) with
   | None, None, false -> f ()
   | _ ->

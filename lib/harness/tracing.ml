@@ -4,7 +4,7 @@ module Chrome = Fbufs_trace.Chrome
 
 (* Full experiment sweeps emit tens of millions of events; a bounded
    buffer keeps exports loadable in a viewer while the online histograms
-   (fed before the capacity check) still see every span. *)
+   (fed before the capacity check) still see every slice. *)
 let default_capacity = 2_000_000
 
 let with_trace ?chrome ?jsonl ?(summary = true) ?(capacity = default_capacity)
@@ -50,7 +50,7 @@ let run_workload ?(config = Exp_fig5.User_user) ?(bytes = 65536)
      [fbufs_transfer_wall_us] sketch. *)
   with_trace ?chrome ?jsonl (fun () ->
       Metrics_run.with_metrics ?file:metrics (fun () ->
-          Spans_run.with_spans ?jsonl:spans ?chrome:spans_chrome
+          Spans_run.with_causal_spans ?jsonl:spans ?chrome:spans_chrome
             ~summary:spans_summary ?top (fun () ->
               let p =
                 Exp_fig5.run_one ~uncached ~config ~bytes ?pdu_size ?window

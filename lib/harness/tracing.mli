@@ -44,5 +44,6 @@ val run_workload :
     combination of Chrome trace / JSONL ([chrome], [jsonl]), metrics
     exposition ([metrics], via {!Metrics_run.with_metrics}), and causal
     span trees ([spans] JSONL / [spans_chrome], via
-    {!Spans_run.with_spans}; [spans_summary] prints the critical-path
-    report, [top] limits it) — one execution, every requested output. *)
+    {!Spans_run.with_causal_spans}; [spans_summary] prints the
+    critical-path report, [top] limits it) — one execution, every
+    requested output. *)

@@ -107,23 +107,9 @@ let facility_name = function Mach -> "mach" | Urpc -> "urpc"
 let call c msg ~handler =
   let cost = c.m.Machine.cost in
   let call_cost, reply_cost, footprint = crossing_costs c in
-  (* One span covers the whole crossing: control transfer in, transfer of
-     the message's buffers, handler execution, and the reply. *)
-  let sp =
-    if Machine.tracing c.m then
-      Machine.span_begin c.m ~domain:c.src.Pd.name
-        ~args:
-          [
-            ("dst", Fbufs_trace.Trace.Str c.dst.Pd.name);
-            ("facility", Fbufs_trace.Trace.Str (facility_name c.facility));
-            ( "mode",
-              Fbufs_trace.Trace.Str
-                (match c.mode with Rebuild -> "rebuild" | Integrated -> "integrated")
-            );
-          ]
-        "ipc.call"
-    else 0
-  in
+  (* One trace slice covers the whole crossing: control transfer in,
+     transfer of the message's buffers, handler execution, and the reply. *)
+  let t0 = Machine.now c.m in
   (* Causal span for the crossing. The caller's transfer context usually
      reaches here down the stack; a call made outside any context (a
      proxy invoked from a detached continuation) adopts the transfer
@@ -207,7 +193,18 @@ let call c msg ~handler =
         "ipc.dealloc_piggyback";
     process_pending c
   end;
-  Machine.span_end c.m sp;
+  if Machine.tracing c.m then
+    Machine.trace_complete c.m ~since:t0 ~domain:c.src.Pd.name
+      ~args:
+        [
+          ("dst", Fbufs_trace.Trace.Str c.dst.Pd.name);
+          ("facility", Fbufs_trace.Trace.Str (facility_name c.facility));
+          ( "mode",
+            Fbufs_trace.Trace.Str
+              (match c.mode with Rebuild -> "rebuild" | Integrated -> "integrated")
+          );
+        ]
+      "ipc.call";
   Machine.span_exit c.m csp;
   (* The reply delivered and its deferred notices processed: a sequence
      point where cross-domain state is expected consistent. *)

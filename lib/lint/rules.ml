@@ -493,10 +493,8 @@ let l4_pass ~file str =
    hand-off that could justify it. Matching is by function name, so
    [Machine.span_enter] and any alias of it count alike. *)
 
-let span_acquire_names =
-  [ "span_enter"; "span_adopt"; "span_begin"; "transfer_begin" ]
-
-let span_release_names = [ "span_exit"; "span_end"; "transfer_end" ]
+let span_acquire_names = [ "span_enter"; "span_adopt"; "transfer_begin" ]
+let span_release_names = [ "span_exit"; "transfer_end" ]
 
 let is_span_acquire e =
   match rev_path e with

@@ -221,7 +221,7 @@ let scatter_at t (fb : Fbuf.t) ~off ~len src =
     vaddr := !vaddr + seg
   done
 
-let deliver t ~sender ~flight ~cause ~vci ~len data =
+let deliver t ~sender ~sent_us ~cause ~vci ~len data =
   let now = Des.now t.des in
   Machine.elapse_to t.m now;
   (* Continue the sender's transfer on this machine: the rx span follows
@@ -251,8 +251,9 @@ let deliver t ~sender ~flight ~cause ~vci ~len data =
           ("cached", Str (if cached_path then "yes" else "no"));
         ]
       "osiris.rx";
-    if flight <> 0 then
-      Machine.async_end t.m ~id:flight ~args:[ ("vci", Int vci) ] "osiris.pdu"
+    if Machine.tracing sender.m then
+      Machine.trace_complete t.m ~since:sent_us ~args:[ ("vci", Int vci) ]
+        "osiris.pdu"
   end;
   if cached_path then Hashtbl.replace t.vci_last_use vci now;
   let alloc =
@@ -332,11 +333,11 @@ let send_pdu t ~vci msg =
   let finish = start +. tx_time in
   t.link_free_at <- finish;
   let propagation = 1.0 in
-  (* The flight id links this tx to the delivery on the peer machine; ids
-     are only consumed when tracing so untraced runs are unperturbed. *)
-  let flight =
+  (* The send time travels with the PDU so whichever machine sees the end
+     of its flight (the peer on delivery, this one on loss) can emit the
+     [osiris.pdu] slice. *)
+  let sent_us =
     if Machine.tracing t.m then begin
-      let id = Machine.fresh_id t.m in
       let open Fbufs_trace.Trace in
       Machine.trace_instant t.m
         ~args:
@@ -346,10 +347,9 @@ let send_pdu t ~vci msg =
             ("cells", Int cells);
           ]
         "osiris.tx";
-      Machine.async_begin t.m ~id ~args:[ ("vci", Int vci) ] "osiris.pdu";
-      id
+      Machine.now t.m
     end
-    else 0
+    else 0.0
   in
   if t.loss_rate > 0.0 && Rng.float t.m.rng 1.0 < t.loss_rate then begin
     (* The cells occupy the wire but the frame is lost (CRC failure at the
@@ -361,7 +361,9 @@ let send_pdu t ~vci msg =
       Machine.trace_instant t.m
         ~args:[ ("vci", Fbufs_trace.Trace.Int vci) ]
         "osiris.pdu_dropped";
-      Machine.async_end t.m ~id:flight "osiris.pdu"
+      Machine.trace_complete t.m ~since:sent_us
+        ~args:[ ("vci", Fbufs_trace.Trace.Int vci) ]
+        "osiris.pdu"
     end;
     ignore
       (Machine.span_flight t.m ~transfer:ctid ~follows:csp ~start_us:start
@@ -374,6 +376,6 @@ let send_pdu t ~vci msg =
     in
     let cause = (ctid, fsp) in
     Des.schedule t.des (finish +. propagation) (fun () ->
-        deliver peer ~sender:t ~flight ~cause ~vci ~len data)
+        deliver peer ~sender:t ~sent_us ~cause ~vci ~len data)
   end;
   Machine.span_exit t.m csp

@@ -120,43 +120,17 @@ let trace_instant m ?domain ?path_id ?args kind =
       Trace.instant tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
         ?path_id ?args kind
 
-let span_begin m ?domain ?path_id ?args kind =
-  match m.trace with
-  | None -> 0
-  | Some tr ->
-      Trace.begin_span tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
-        ?path_id ?args kind
-
-let span_end m ?args id =
-  match m.trace with
-  | None -> ()
-  | Some tr -> if id <> 0 then Trace.end_span tr ~ts_us:(Clock.now m.clock) ?args id
-
-let with_span m ?domain ?path_id kind f =
-  match m.trace with
-  | None -> f ()
-  | Some _ ->
-      let id = span_begin m ?domain ?path_id kind in
-      Fun.protect ~finally:(fun () -> span_end m id) f
-
-let async_begin m ?domain ?path_id ?args ~id kind =
+let trace_complete m ~since ?domain ?path_id ?args kind =
   match m.trace with
   | None -> ()
   | Some tr ->
-      Trace.async_begin tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
-        ?path_id ?args ~id kind
+      Trace.complete tr ~ts_us:since
+        ~dur_us:(Clock.now m.clock -. since)
+        ~machine:m.name ?domain ?path_id ?args kind
 
-let async_end m ?domain ?path_id ?args ~id kind =
-  match m.trace with
-  | None -> ()
-  | Some tr ->
-      Trace.async_end tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
-        ?path_id ?args ~id kind
-
-(* Causal span plumbing. Like the trace spans above, ids are 0 and the
-   calls do nothing when no sink is attached, so instrumentation sites
-   need no guards; unlike trace spans these carry the transfer context
-   that {!charge} attributes cost into. *)
+(* Causal span plumbing. Ids are 0 and the calls do nothing when no sink
+   is attached, so instrumentation sites need no guards. Spans carry the
+   transfer context that {!charge} attributes cost into. *)
 
 let transfer_begin m ?domain ?path_id label =
   match m.spans with

@@ -181,40 +181,18 @@ val trace_instant :
 (** Emit an instant event stamped with the machine's current simulated
     time. No-op without a sink (guard arg construction with {!tracing}). *)
 
-val span_begin :
+val trace_complete :
   t ->
+  since:float ->
   ?domain:string ->
   ?path_id:int ->
   ?args:(string * Fbufs_trace.Trace.arg) list ->
-  string ->
-  int
-(** Open a nested span; returns 0 (and does nothing) without a sink, and
-    {!span_end} ignores id 0, so begin/end pairs are safe unguarded. *)
-
-val span_end :
-  t -> ?args:(string * Fbufs_trace.Trace.arg) list -> int -> unit
-
-val with_span : t -> ?domain:string -> ?path_id:int -> string -> (unit -> 'a) -> 'a
-
-val async_begin :
-  t ->
-  ?domain:string ->
-  ?path_id:int ->
-  ?args:(string * Fbufs_trace.Trace.arg) list ->
-  id:int ->
   string ->
   unit
-(** Open/close async spans correlated by [(kind, id)] — they may cross
-    domains and machines (fbuf lifetime, PDU flight). *)
-
-val async_end :
-  t ->
-  ?domain:string ->
-  ?path_id:int ->
-  ?args:(string * Fbufs_trace.Trace.arg) list ->
-  id:int ->
-  string ->
-  unit
+(** Emit a [Complete] slice covering [since] to the machine's current
+    simulated time — an interval whose start the caller already holds
+    (an IPC call's entry, an fbuf's allocation, a PDU's send). No-op
+    without a sink (guard arg construction with {!tracing}). *)
 
 val now : t -> float
 

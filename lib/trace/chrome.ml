@@ -42,45 +42,28 @@ let args_json (ev : Trace.event) =
   if ev.Trace.path_id >= 0 then ("path", Json.Int ev.Trace.path_id) :: base
   else base
 
+let phase_name = function Trace.Instant -> "i" | Trace.Complete _ -> "X"
+
 let event_json ids (ev : Trace.event) =
   let pid, tid = assign ids ev in
-  let common =
+  let shape =
+    match ev.Trace.phase with
+    | Trace.Instant -> ("s", Json.String "t")
+    | Trace.Complete dur -> ("dur", Json.Float dur)
+  in
+  let fields =
     [
       ("name", Json.String ev.Trace.kind);
-      ("ph", Json.String "");
+      ("ph", Json.String (phase_name ev.Trace.phase));
       ("ts", Json.Float ev.Trace.ts_us);
       ("pid", Json.Int pid);
       ("tid", Json.Int tid);
+      shape;
     ]
   in
-  let set_ph p fields =
-    List.map
-      (function "ph", _ -> ("ph", Json.String p) | f -> f)
-      fields
-  in
-  let with_args fields =
-    match args_json ev with [] -> fields | a -> fields @ [ ("args", Json.Obj a) ]
-  in
-  let fields =
-    match ev.Trace.phase with
-    | Trace.Instant -> set_ph "i" common @ [ ("s", Json.String "t") ]
-    | Trace.Complete dur -> set_ph "X" common @ [ ("dur", Json.Float dur) ]
-    | Trace.Span_begin -> set_ph "B" common
-    | Trace.Span_end -> set_ph "E" common
-    | Trace.Async_begin ->
-        set_ph "b" common
-        @ [
-            ("cat", Json.String ev.Trace.kind);
-            ("id", Json.Int ev.Trace.span);
-          ]
-    | Trace.Async_end ->
-        set_ph "e" common
-        @ [
-            ("cat", Json.String ev.Trace.kind);
-            ("id", Json.Int ev.Trace.span);
-          ]
-  in
-  Json.Obj (with_args fields)
+  match args_json ev with
+  | [] -> Json.Obj fields
+  | a -> Json.Obj (fields @ [ ("args", Json.Obj a) ])
 
 let metadata_events ids =
   let procs =
@@ -153,14 +136,6 @@ let write_file t path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string t))
 
-let phase_name = function
-  | Trace.Instant -> "i"
-  | Trace.Complete _ -> "X"
-  | Trace.Span_begin -> "B"
-  | Trace.Span_end -> "E"
-  | Trace.Async_begin -> "b"
-  | Trace.Async_end -> "e"
-
 let jsonl_event (ev : Trace.event) =
   let fields =
     [
@@ -176,10 +151,6 @@ let jsonl_event (ev : Trace.event) =
     match ev.Trace.phase with
     | Trace.Complete dur -> fields @ [ ("dur", Json.Float dur) ]
     | _ -> fields
-  in
-  let fields =
-    if ev.Trace.span <> 0 then fields @ [ ("span", Json.Int ev.Trace.span) ]
-    else fields
   in
   let fields =
     match ev.Trace.args with

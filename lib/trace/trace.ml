@@ -1,12 +1,6 @@
 type arg = Str of string | Int of int | Float of float
 
-type phase =
-  | Instant
-  | Complete of float
-  | Span_begin
-  | Span_end
-  | Async_begin
-  | Async_end
+type phase = Instant | Complete of float
 
 type event = {
   ts_us : float;
@@ -15,16 +9,7 @@ type event = {
   path_id : int;
   kind : string;
   phase : phase;
-  span : int;
   args : (string * arg) list;
-}
-
-type open_span = {
-  o_ts : float;
-  o_machine : string;
-  o_domain : string;
-  o_path : int;
-  o_kind : string;
 }
 
 (* Ring-mode storage is struct-of-arrays rather than an array of event
@@ -38,13 +23,12 @@ type open_span = {
    the rare richer argument lists are retained boxed. *)
 type cols = {
   c_ts : float array;
-  c_dur : float array; (* Complete duration; 0.0 for other phases *)
+  c_dur : float array; (* Complete duration; 0.0 for instants *)
   c_machine : string array;
   c_domain : string array;
   c_kind : string array;
   c_path : int array;
   c_phase : int array;
-  c_span : int array;
   c_comp : string array; (* "" = no comp arg *)
   c_extra : (string * arg) list array; (* args other than a lone comp *)
 }
@@ -66,23 +50,14 @@ type t = {
   latency : bool; (* maintain per-(kind, path) histograms *)
   mutable start : int; (* index of the oldest retained event (ring mode) *)
   mutable dropped : int;
-  mutable next_span : int;
   mutable tap : (event -> unit) option;
   mutable sampler : sampler option;
   last : float array; (* newest timestamp seen; float array so the
                          per-event update is an unboxed store *)
-  spans : (int, open_span) Hashtbl.t;
-  asyncs : (string * int, float * int) Hashtbl.t; (* start ts, path_id *)
   hist : (string * int, Histogram.t) Hashtbl.t;
 }
 
-let phase_code = function
-  | Instant -> 0
-  | Complete _ -> 1
-  | Span_begin -> 2
-  | Span_end -> 3
-  | Async_begin -> 4
-  | Async_end -> 5
+let phase_code = function Instant -> 0 | Complete _ -> 1
 
 let make_cols c =
   {
@@ -93,7 +68,6 @@ let make_cols c =
     c_kind = Array.make c "";
     c_path = Array.make c 0;
     c_phase = Array.make c 0;
-    c_span = Array.make c 0;
     c_comp = Array.make c "";
     c_extra = Array.make c [];
   }
@@ -106,7 +80,6 @@ let set_cols c i ev =
   c.c_kind.(i) <- ev.kind;
   c.c_path.(i) <- ev.path_id;
   c.c_phase.(i) <- phase_code ev.phase;
-  c.c_span.(i) <- ev.span;
   match ev.args with
   | [] ->
       c.c_comp.(i) <- "";
@@ -119,15 +92,7 @@ let set_cols c i ev =
       c.c_extra.(i) <- args
 
 let event_of_cols c i =
-  let phase =
-    match c.c_phase.(i) with
-    | 0 -> Instant
-    | 1 -> Complete c.c_dur.(i)
-    | 2 -> Span_begin
-    | 3 -> Span_end
-    | 4 -> Async_begin
-    | _ -> Async_end
-  in
+  let phase = if c.c_phase.(i) = 0 then Instant else Complete c.c_dur.(i) in
   let args =
     match c.c_extra.(i) with
     | [] -> if c.c_comp.(i) = "" then [] else [ ("comp", Str c.c_comp.(i)) ]
@@ -140,7 +105,6 @@ let event_of_cols c i =
     path_id = c.c_path.(i);
     kind = c.c_kind.(i);
     phase;
-    span = c.c_span.(i);
     args;
   }
 
@@ -152,7 +116,6 @@ let dummy_event =
     path_id = -1;
     kind = "";
     phase = Instant;
-    span = 0;
     args = [];
   }
 
@@ -170,12 +133,9 @@ let create ?(ring = false) ?(latency = true) ?capacity () =
     latency;
     start = 0;
     dropped = 0;
-    next_span = 1;
     tap = None;
     sampler = None;
     last = [| 0.0 |];
-    spans = Hashtbl.create 16;
-    asyncs = Hashtbl.create 64;
     hist = Hashtbl.create 64;
   }
 
@@ -197,13 +157,10 @@ let clear t =
   t.len <- 0;
   t.start <- 0;
   t.dropped <- 0;
-  Hashtbl.reset t.spans;
-  Hashtbl.reset t.asyncs;
   Hashtbl.reset t.hist
 
 let event_count t = t.len
 let dropped t = t.dropped
-let open_spans t = Hashtbl.length t.spans
 
 let events t =
   match t.cols with
@@ -273,22 +230,12 @@ let record_latency t ~kind ~path_id dur =
 
 let instant t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = []) kind
     =
-  push t
-    { ts_us; machine; domain; path_id; kind; phase = Instant; span = 0; args }
+  push t { ts_us; machine; domain; path_id; kind; phase = Instant; args }
 
 let complete t ~ts_us ~dur_us ~machine ?(domain = "") ?(path_id = -1)
     ?(args = []) kind =
   push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Complete dur_us;
-      span = 0;
-      args;
-    };
+    { ts_us; machine; domain; path_id; kind; phase = Complete dur_us; args };
   record_latency t ~kind ~path_id dur_us
 
 (* The per-charge slice is by far the hottest emission site (tens of
@@ -310,7 +257,6 @@ let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
       if c.c_kind.(i) != kind then c.c_kind.(i) <- kind;
       c.c_path.(i) <- -1;
       c.c_phase.(i) <- 1 (* Complete *);
-      c.c_span.(i) <- 0;
       if c.c_comp.(i) != comp then c.c_comp.(i) <- comp;
       if c.c_extra.(i) != [] then c.c_extra.(i) <- [];
       (match t.sampler with
@@ -326,86 +272,6 @@ let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
         if String.length comp = 0 then [] else [ ("comp", Str comp) ]
       in
       complete t ~ts_us ~dur_us ~machine ~args kind
-
-let begin_span t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
-    kind =
-  let id = t.next_span in
-  t.next_span <- id + 1;
-  Hashtbl.replace t.spans id
-    {
-      o_ts = ts_us;
-      o_machine = machine;
-      o_domain = domain;
-      o_path = path_id;
-      o_kind = kind;
-    };
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Span_begin;
-      span = id;
-      args;
-    };
-  id
-
-let end_span t ~ts_us ?(args = []) id =
-  match Hashtbl.find_opt t.spans id with
-  | None -> ()
-  | Some o ->
-      Hashtbl.remove t.spans id;
-      push t
-        {
-          ts_us;
-          machine = o.o_machine;
-          domain = o.o_domain;
-          path_id = o.o_path;
-          kind = o.o_kind;
-          phase = Span_end;
-          span = id;
-          args;
-        };
-      record_latency t ~kind:o.o_kind ~path_id:o.o_path (ts_us -. o.o_ts)
-
-let async_begin t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
-    ~id kind =
-  Hashtbl.replace t.asyncs (kind, id) (ts_us, path_id);
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Async_begin;
-      span = id;
-      args;
-    }
-
-let async_end t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
-    ~id kind =
-  let path_id =
-    match Hashtbl.find_opt t.asyncs (kind, id) with
-    | Some (start, begin_path) ->
-        Hashtbl.remove t.asyncs (kind, id);
-        record_latency t ~kind ~path_id:begin_path (ts_us -. start);
-        begin_path
-    | None -> path_id
-  in
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Async_end;
-      span = id;
-      args;
-    }
 
 let summary t =
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hist []

@@ -1,11 +1,13 @@
 (** Structured event tracing for the simulated data path.
 
     A [Trace.t] is a sink that subsystems stamp typed events into as the
-    simulation runs: instants (a pmap update, an fbuf cache hit), complete
-    slices (a cost charge with a known duration), nested spans (an IPC
-    call from entry to reply) and async spans (the life of one fbuf from
-    allocation to last free, or one PDU from DMA-gather to delivery,
-    causally linking events that belong to the same logical transfer).
+    simulation runs: instants (a pmap update, an fbuf cache hit) and
+    complete slices. A slice is emitted where its interval ends, from a
+    start time the emitter already holds: a cost charge, an IPC call from
+    entry to reply, the life of one fbuf from allocation to last free, or
+    one PDU from DMA-gather to delivery on the peer machine. Causal
+    structure across domains and machines is the business of
+    [Fbufs_span.Span], not of this sink.
 
     Timestamps are simulated microseconds supplied by the caller (the
     machine's clock); the sink itself never reads wall-clock time and
@@ -13,18 +15,12 @@
     measurement.
 
     Latency histograms keyed by [(kind, path_id)] are maintained online as
-    spans close, so percentile summaries survive even when a bounded
-    buffer drops raw events. *)
+    every slice is pushed, so percentile summaries survive even when a
+    bounded buffer drops raw events. *)
 
 type arg = Str of string | Int of int | Float of float
 
-type phase =
-  | Instant
-  | Complete of float  (** duration in simulated us *)
-  | Span_begin
-  | Span_end
-  | Async_begin
-  | Async_end
+type phase = Instant | Complete of float  (** duration in simulated us *)
 
 type event = {
   ts_us : float;
@@ -33,7 +29,6 @@ type event = {
   path_id : int;  (** -1 when the event is not bound to an I/O path *)
   kind : string;
   phase : phase;
-  span : int;  (** span/async correlation id; 0 = none *)
   args : (string * arg) list;
 }
 
@@ -42,7 +37,7 @@ type t
 val create : ?ring:bool -> ?latency:bool -> ?capacity:int -> unit -> t
 (** [capacity] bounds the number of buffered events. By default, once
     full, further events are counted in {!dropped} but not stored
-    (histograms still update). With [~ring:true] the sink becomes a
+    (histograms still see every slice). With [~ring:true] the sink becomes a
     flight-recorder ring instead: when full, each new event overwrites
     the {e oldest} retained one (the overwritten event counts in
     {!dropped}), so the buffer always holds the most recent [capacity]
@@ -127,55 +122,9 @@ val complete :
 (** A slice of known duration starting at [ts_us]; feeds the histogram for
     its [(kind, path_id)]. *)
 
-val begin_span :
-  t ->
-  ts_us:float ->
-  machine:string ->
-  ?domain:string ->
-  ?path_id:int ->
-  ?args:(string * arg) list ->
-  string ->
-  int
-(** Open a synchronous (strictly nested) span; returns its correlation id
-    (always > 0). *)
-
-val end_span : t -> ts_us:float -> ?args:(string * arg) list -> int -> unit
-(** Close a span by id, feeding its duration to the histogram. Unknown
-    ids (including 0, the "tracing disabled" id) are ignored. *)
-
-val async_begin :
-  t ->
-  ts_us:float ->
-  machine:string ->
-  ?domain:string ->
-  ?path_id:int ->
-  ?args:(string * arg) list ->
-  id:int ->
-  string ->
-  unit
-(** Open an async span: correlation by [(kind, id)] rather than nesting,
-    so it may cross domains and machines (fbuf lifetime, PDU flight). *)
-
-val async_end :
-  t ->
-  ts_us:float ->
-  machine:string ->
-  ?domain:string ->
-  ?path_id:int ->
-  ?args:(string * arg) list ->
-  id:int ->
-  string ->
-  unit
-(** Close an async span. If no matching [async_begin] was seen the event
-    is still recorded but no latency sample is taken. The histogram key
-    uses the [path_id] of the [async_begin] side. *)
-
-val open_spans : t -> int
-(** Currently open synchronous spans (for leak checks in tests). *)
-
 val summary : t -> ((string * int) * Histogram.t) list
 (** Latency histograms keyed by [(kind, path_id)], sorted by kind then
-    path id. Populated by [complete], [end_span] and [async_end]. *)
+    path id. Populated by [complete] and [complete_comp]. *)
 
 val kind_summary : t -> (string * Histogram.t) list
 (** {!summary} merged across paths: one histogram per kind. *)

@@ -1,4 +1,4 @@
-(* Tests for the tracing facility: histogram math, span bookkeeping,
+(* Tests for the tracing facility: histogram math, slice bookkeeping,
    Chrome trace_event export round-tripped through the JSON parser, and
    the zero-overhead-when-disabled invariant. *)
 
@@ -9,6 +9,9 @@ module Histogram = Fbufs_trace.Histogram
 module Json = Fbufs_trace.Json
 module Chrome = Fbufs_trace.Chrome
 module Testbed = Fbufs_harness.Testbed
+module Msg = Fbufs_msg.Msg
+module Osiris = Fbufs_netdev.Osiris
+module Testproto = Fbufs_protocols.Testproto
 
 let check = Alcotest.check
 
@@ -77,49 +80,8 @@ let test_hist_merge () =
   check Alcotest.int "merge does not mutate" 2 (Histogram.count a)
 
 (* ------------------------------------------------------------------ *)
-(* Spans and event bookkeeping                                         *)
+(* Slices and event bookkeeping                                        *)
 (* ------------------------------------------------------------------ *)
-
-let test_span_nesting () =
-  let tr = Trace.create () in
-  let outer = Trace.begin_span tr ~ts_us:0.0 ~machine:"m" "outer" in
-  let inner = Trace.begin_span tr ~ts_us:1.0 ~machine:"m" "inner" in
-  check Alcotest.int "two open spans" 2 (Trace.open_spans tr);
-  Trace.end_span tr ~ts_us:3.0 inner;
-  Trace.end_span tr ~ts_us:10.0 outer;
-  check Alcotest.int "all spans closed" 0 (Trace.open_spans tr);
-  (match List.map (fun (e : Trace.event) -> (e.kind, e.phase)) (Trace.events tr) with
-  | [
-   ("outer", Trace.Span_begin);
-   ("inner", Trace.Span_begin);
-   ("inner", Trace.Span_end);
-   ("outer", Trace.Span_end);
-  ] ->
-      ()
-  | evs ->
-      Alcotest.failf "unexpected event sequence (%d events)" (List.length evs));
-  (* Each closed span fed its duration to the per-kind histogram. *)
-  let dur kind =
-    match List.assoc_opt kind (Trace.kind_summary tr) with
-    | Some h -> Histogram.max_value h
-    | None -> Alcotest.failf "no histogram for %s" kind
-  in
-  check (Alcotest.float 1e-9) "inner duration" 2.0 (dur "inner");
-  check (Alcotest.float 1e-9) "outer duration" 10.0 (dur "outer")
-
-let test_span_unknown_id_ignored () =
-  let tr = Trace.create () in
-  Trace.end_span tr ~ts_us:1.0 0;
-  Trace.end_span tr ~ts_us:1.0 999;
-  check Alcotest.int "no events from bogus ends" 0 (Trace.event_count tr)
-
-let test_async_span_crosses_machines () =
-  let tr = Trace.create () in
-  Trace.async_begin tr ~ts_us:5.0 ~machine:"tx" ~path_id:7 ~id:1 "pdu";
-  Trace.async_end tr ~ts_us:9.0 ~machine:"rx" ~id:1 "pdu";
-  let h = List.assoc ("pdu", 7) (Trace.summary tr) in
-  check Alcotest.int "one flight sample" 1 (Histogram.count h);
-  check (Alcotest.float 1e-9) "flight latency" 4.0 (Histogram.max_value h)
 
 let test_capacity_drops_events_not_samples () =
   let tr = Trace.create ~capacity:2 () in
@@ -133,19 +95,27 @@ let test_capacity_drops_events_not_samples () =
   let h = List.assoc "op" (Trace.kind_summary tr) in
   check Alcotest.int "histogram saw every sample" 10 (Histogram.count h)
 
-let test_machine_span_helpers () =
+let test_machine_trace_complete () =
   let m = Machine.create ~name:"host" () in
   Alcotest.(check bool) "disabled by default" false (Machine.tracing m);
-  check Alcotest.int "span_begin returns 0 when disabled" 0
-    (Machine.span_begin m "nope");
-  Machine.span_end m 0 (* must not raise *);
+  Machine.trace_complete m ~since:0.0 "nope" (* no sink: must not raise *);
   let tr = Trace.create () in
   Machine.set_trace m (Some tr);
-  Machine.with_span m "work" (fun () -> Machine.charge ~kind:"step" m 5.0);
-  check Alcotest.int "no leaked spans" 0 (Trace.open_spans tr);
-  let h = List.assoc "work" (Trace.kind_summary tr) in
-  check (Alcotest.float 1e-9) "span covers the charge" 5.0
-    (Histogram.max_value h)
+  Machine.charge ~kind:"before" m 2.0;
+  let t0 = Machine.now m in
+  Machine.charge ~kind:"step" m 5.0;
+  Machine.charge ~kind:"step" m 1.5;
+  Machine.trace_complete m ~since:t0 ~path_id:3 "work";
+  (match List.rev (Trace.events tr) with
+  | { Trace.kind = "work"; ts_us; phase = Trace.Complete dur; path_id; _ }
+    :: _ ->
+      check (Alcotest.float 1e-9) "slice starts at since" t0 ts_us;
+      check (Alcotest.float 1e-9) "slice covers the charges since" 6.5 dur;
+      check Alcotest.int "slice keeps its path" 3 path_id
+  | _ -> Alcotest.fail "trace_complete emitted no trailing slice");
+  let h = List.assoc ("work", 3) (Trace.summary tr) in
+  check Alcotest.int "one latency sample" 1 (Histogram.count h);
+  check (Alcotest.float 1e-9) "sample is the slice" 6.5 (Histogram.max_value h)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export round trip                                            *)
@@ -192,37 +162,20 @@ let test_chrome_json_roundtrip () =
     | Some (Json.String s) -> s
     | _ -> Alcotest.failf "event without string %S field" name
   in
-  let balance = Hashtbl.create 8 in
   let metadata = ref 0 in
   List.iter
     (fun ev ->
       let ph = str_field "ph" ev in
       (match ph with
-      | "B" | "E" | "X" | "i" | "b" | "e" | "M" -> ()
+      | "X" | "i" | "M" -> ()
       | other -> Alcotest.failf "unknown phase %S" other);
       if ph = "M" then incr metadata
-      else begin
+      else
         (* Every non-metadata event carries a numeric timestamp. *)
-        (match Json.member "ts" ev with
+        match Json.member "ts" ev with
         | Some (Json.Float _ | Json.Int _) -> ()
-        | _ -> Alcotest.fail "event without numeric ts");
-        (* Async events need the correlation id Chrome requires. *)
-        if ph = "b" || ph = "e" then
-          if Json.member "id" ev = None || Json.member "cat" ev = None then
-            Alcotest.fail "async event without id/cat"
-      end;
-      (* B/E must balance per (pid, tid) lane. *)
-      if ph = "B" || ph = "E" then begin
-        let lane = (Json.member "pid" ev, Json.member "tid" ev) in
-        let d = try Hashtbl.find balance lane with Not_found -> 0 in
-        let d = d + if ph = "B" then 1 else -1 in
-        Alcotest.(check bool) "E never precedes B on a lane" true (d >= 0);
-        Hashtbl.replace balance lane d
-      end)
+        | _ -> Alcotest.fail "event without numeric ts")
     events;
-  Hashtbl.iter
-    (fun _ d -> check Alcotest.int "B/E balanced per lane" 0 d)
-    balance;
   Alcotest.(check bool) "has process/thread metadata" true (!metadata > 0);
   match Json.member "displayTimeUnit" parsed with
   | Some (Json.String _) -> ()
@@ -244,7 +197,11 @@ let test_jsonl_lines_parse () =
            match Json.parse line with
            | Json.Obj fields ->
                Alcotest.(check bool) "line has kind" true
-                 (List.mem_assoc "kind" fields)
+                 (List.mem_assoc "kind" fields);
+               Alcotest.(check bool) "line is an instant or a slice" true
+                 (match List.assoc_opt "ph" fields with
+                 | Some (Json.String ("i" | "X")) -> true
+                 | _ -> false)
            | _ -> Alcotest.fail "jsonl line is not an object"
          done
        with End_of_file -> close_in ic);
@@ -252,49 +209,131 @@ let test_jsonl_lines_parse () =
         !lines)
 
 (* ------------------------------------------------------------------ *)
+(* Two hosts                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let with_default_trace trace f =
+  let saved = !Machine.default_trace in
+  Machine.default_trace := trace;
+  Fun.protect ~finally:(fun () -> Machine.default_trace := saved) f
+
+(* Two hosts joined by Osiris, as in the netdev tests: [tx] sends four
+   PDUs and holds their source buffers until the link drains, and [rx]
+   answers each with a short reply. Both hosts allocate and free fbufs
+   while the other holds buffers, and fbuf ids are per machine, so the
+   two hosts' ids overlap. Returns both machines. *)
+let osiris_exchange ~trace () =
+  with_default_trace trace (fun () ->
+      let des = Des.create () in
+      let tb1 = Testbed.create ~name:"tx" ~seed:1 () in
+      let tb2 = Testbed.create ~name:"rx" ~seed:2 () in
+      let host tb =
+        let k = tb.Testbed.kernel in
+        let ad =
+          Osiris.create ~m:tb.Testbed.m ~des ~region:tb.Testbed.region
+            ~kernel:k ()
+        in
+        let alloc = Testbed.allocator tb ~domains:[ k ] Fbuf.cached_volatile in
+        (ad, k, fun bytes -> Testproto.make_message ~alloc ~as_:k ~bytes ())
+      in
+      let ad1, k1, msg1 = host tb1 and ad2, k2, msg2 = host tb2 in
+      Osiris.connect ad1 ad2;
+      Osiris.set_rx_handler ad1 (fun ~vci:_ msg -> Msg.free_held msg ~dom:k1);
+      Osiris.set_rx_handler ad2 (fun ~vci msg ->
+          Msg.free_held msg ~dom:k2;
+          let reply = msg2 64 in
+          Osiris.send_pdu ad2 ~vci reply;
+          Msg.free_held reply ~dom:k2);
+      let sent =
+        List.init 4 (fun i ->
+            let msg = msg1 (1000 * (i + 1)) in
+            Osiris.send_pdu ad1 ~vci:7 msg;
+            msg)
+      in
+      Des.run des;
+      List.iter (fun msg -> Msg.free_held msg ~dom:k1) sent;
+      [ tb1.Testbed.m; tb2.Testbed.m ])
+
+(* Each last free closes exactly one [fbuf.life] slice, whichever
+   machine the buffer lives on and whatever ids the other host uses. *)
+let test_fbuf_life_per_last_free () =
+  let tr = Trace.create () in
+  let machines = osiris_exchange ~trace:(Some tr) () in
+  let last_frees =
+    List.fold_left
+      (fun acc (m : Machine.t) -> acc + Stats.get m.stats "fbuf.last_free")
+      0 machines
+  in
+  let lives =
+    List.fold_left
+      (fun acc ((kind, _), h) ->
+        if kind = "fbuf.life" then acc + Histogram.count h else acc)
+      0 (Trace.summary tr)
+  in
+  Alcotest.(check bool) "both hosts freed buffers" true (last_frees > 0);
+  check Alcotest.int "one fbuf.life sample per last free" last_frees lives;
+  List.iter
+    (fun (ev : Trace.event) ->
+      match ev.phase with
+      | Trace.Complete d when d < 0.0 ->
+          Alcotest.failf "%s slice on %s has negative duration %g" ev.kind
+            ev.machine d
+      | _ -> ())
+    (Trace.events tr)
+
+(* ------------------------------------------------------------------ *)
 (* Zero overhead when disabled                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The same seeded workload must leave bit-identical statistics and
-   clock whether a sink is attached or not: tracing observes charges, it
-   never adds any. *)
+(* The same seeded workload must leave bit-identical statistics, clock
+   and id counters whether a sink is attached or not: tracing observes
+   charges, it never adds any, and it draws no ids. Each leg reports
+   [(stats, clock, next id)] per machine: a one-host send/free loop, then
+   both hosts of an Osiris exchange. *)
 let run_workload ~trace () =
-  let saved = !Machine.default_trace in
-  Machine.default_trace := trace;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_trace := saved)
-    (fun () ->
-      let tb = Testbed.create () in
-      let app = Testbed.user_domain tb "app" in
-      let recv = Testbed.user_domain tb "recv" in
-      let alloc =
-        Testbed.allocator tb ~domains:[ app; recv ] Fbuf.cached_volatile
-      in
-      for _ = 1 to 5 do
-        let fb = Allocator.alloc alloc ~npages:3 in
-        Fbuf_api.touch_write fb ~as_:app;
-        Transfer.send fb ~src:app ~dst:recv;
-        Fbuf_api.touch_read fb ~as_:recv;
-        Transfer.free fb ~dom:recv;
-        Transfer.free fb ~dom:app
-      done;
-      let m = tb.Testbed.m in
-      (Stats.snapshot m.Machine.stats, Machine.now m))
+  let leg (m : Machine.t) =
+    (Stats.snapshot m.stats, Machine.now m, Machine.fresh_id m)
+  in
+  let single =
+    with_default_trace trace (fun () ->
+        let tb = Testbed.create () in
+        let app = Testbed.user_domain tb "app" in
+        let recv = Testbed.user_domain tb "recv" in
+        let alloc =
+          Testbed.allocator tb ~domains:[ app; recv ] Fbuf.cached_volatile
+        in
+        for _ = 1 to 5 do
+          let fb = Allocator.alloc alloc ~npages:3 in
+          Fbuf_api.touch_write fb ~as_:app;
+          Transfer.send fb ~src:app ~dst:recv;
+          Fbuf_api.touch_read fb ~as_:recv;
+          Transfer.free fb ~dom:recv;
+          Transfer.free fb ~dom:app
+        done;
+        tb.Testbed.m)
+  in
+  List.map leg (single :: osiris_exchange ~trace ())
 
 let test_disabled_tracing_is_invisible () =
-  let stats_off, now_off = run_workload ~trace:None () in
+  let off = run_workload ~trace:None () in
   let tr = Trace.create () in
-  let stats_on, now_on = run_workload ~trace:(Some tr) () in
+  let on = run_workload ~trace:(Some tr) () in
   Alcotest.(check bool) "traced run actually traced" true
     (Trace.event_count tr > 0);
-  check (Alcotest.float 0.0) "identical clock" now_off now_on;
-  check
-    Alcotest.(list (pair string (Alcotest.float 0.0)))
-    "identical statistics" stats_off stats_on;
-  check
-    Alcotest.(list (pair string (Alcotest.float 0.0)))
-    "no residual delta" []
-    (Stats.diff ~before:stats_off ~after:stats_on)
+  check Alcotest.int "same machines" (List.length off) (List.length on);
+  List.iteri
+    (fun i ((stats_off, now_off, id_off), (stats_on, now_on, id_on)) ->
+      let name what = Printf.sprintf "machine %d: %s" i what in
+      check (Alcotest.float 0.0) (name "identical clock") now_off now_on;
+      check Alcotest.int (name "identical next id") id_off id_on;
+      check
+        Alcotest.(list (pair string (Alcotest.float 0.0)))
+        (name "identical statistics") stats_off stats_on;
+      check
+        Alcotest.(list (pair string (Alcotest.float 0.0)))
+        (name "no residual delta") []
+        (Stats.diff ~before:stats_off ~after:stats_on))
+    (List.combine off on)
 
 (* ------------------------------------------------------------------ *)
 
@@ -312,14 +351,12 @@ let () =
         ] );
       ( "spans",
         [
-          Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "unknown ids ignored" `Quick
-            test_span_unknown_id_ignored;
-          Alcotest.test_case "async crosses machines" `Quick
-            test_async_span_crosses_machines;
           Alcotest.test_case "capacity drops events not samples" `Quick
             test_capacity_drops_events_not_samples;
-          Alcotest.test_case "machine helpers" `Quick test_machine_span_helpers;
+          Alcotest.test_case "machine helpers" `Quick
+            test_machine_trace_complete;
+          Alcotest.test_case "fbuf.life per last free" `Quick
+            test_fbuf_life_per_last_free;
         ] );
       ( "chrome-export",
         [
