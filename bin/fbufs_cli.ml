@@ -164,13 +164,14 @@ let with_recorder ?dir ~dump_on_exit f =
               x))
 
 (* Wrap an experiment term so tracing, metering and span recording cover
-   exactly its run. Spans sit innermost so their post-run export can
-   observe transfer walls into the still-installed metrics instance. *)
+   exactly its run. Spans sit inside metrics so their post-run export can
+   observe transfer walls into the still-installed metrics instance, and
+   the trace inside spans so its Chrome file also carries the span trees. *)
 let traced term =
   let wrap chrome jsonl metrics spans record dump_on_exit f =
-    H.Tracing.with_trace ?chrome ?jsonl (fun () ->
-        H.Metrics_run.with_metrics ?file:metrics (fun () ->
-            H.Spans_run.with_causal_spans ?jsonl:spans (fun () ->
+    H.Metrics_run.with_metrics ?file:metrics (fun () ->
+        H.Spans_run.with_causal_spans ?jsonl:spans (fun () ->
+            H.Tracing.with_trace ?chrome ?jsonl (fun () ->
                 with_recorder ?dir:record ~dump_on_exit f)))
   in
   Term.(
@@ -233,8 +234,9 @@ let trace_cmd =
   in
   let out =
     let doc =
-      "Chrome trace output file (mechanism-level events; independent of \
-       the causal span outputs, any combination may be requested)."
+      "Chrome trace output file (mechanism-level events; with $(b,--spans) \
+       also the causal span trees and their flow arrows, on the same \
+       timeline)."
     in
     Arg.(
       value & opt string "fbufs_trace.json" & info [ "trace" ] ~doc ~docv:"FILE")
@@ -247,8 +249,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Run one fully traced end-to-end transfer and dump the event \
-          timeline plus a per-path latency histogram summary; combine \
-          with --metrics and --spans to meter the same single run")
+          timeline plus a per-path latency summary; combine with \
+          --metrics and --spans to meter the same single run")
     Term.(
       const run $ config $ bytes $ uncached $ window $ pdu_size $ nmsgs $ out
       $ jsonl_file $ metrics_file $ spans_file)

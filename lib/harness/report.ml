@@ -38,9 +38,7 @@ let fmt_us v =
 let print_trace_summary ?(min_count = 1) trace =
   let rows = Fbufs_trace.Trace.summary trace in
   let rows =
-    List.filter
-      (fun (_, h) -> Fbufs_trace.Histogram.count h >= min_count)
-      rows
+    List.filter (fun (_, sk) -> Fbufs_trace.Sketch.count sk >= min_count) rows
   in
   if rows <> [] then begin
     print_title "Trace summary: latency by event kind and path (us)";
@@ -53,19 +51,19 @@ let print_trace_summary ?(min_count = 1) trace =
     print_endline line;
     print_endline (String.make (String.length line) '-');
     List.iter
-      (fun ((kind, path_id), h) ->
-        let open Fbufs_trace.Histogram in
+      (fun ((kind, path_id), sk) ->
+        let open Fbufs_trace.Sketch in
         let cells =
           lcell ~width:24 kind
           :: List.map (cell ~width:9)
                [
                  (if path_id < 0 then "-" else string_of_int path_id);
-                 string_of_int (count h);
-                 fmt_us (percentile h 50.0);
-                 fmt_us (percentile h 90.0);
-                 fmt_us (percentile h 99.0);
-                 fmt_us (max_value h);
-                 fmt_us (sum h);
+                 string_of_int (count sk);
+                 fmt_us (quantile sk 50.0);
+                 fmt_us (quantile sk 90.0);
+                 fmt_us (quantile sk 99.0);
+                 fmt_us (max_value sk);
+                 fmt_us (sum sk);
                ]
         in
         print_endline (String.concat "  " cells))

@@ -24,5 +24,5 @@ val print_series_table : x_label:string -> series list -> unit
 
 val print_trace_summary : ?min_count:int -> Fbufs_trace.Trace.t -> unit
 (** Per-[(kind, path)] latency table (count, p50/p90/p99/max and total
-    simulated us) from the trace's online histograms. [min_count] hides
+    simulated us) from the trace's online latency sketches. [min_count] hides
     keys with fewer samples. Prints nothing for an event-free trace. *)

@@ -25,7 +25,7 @@ let export_jsonl sink path =
       Printf.eprintf "spans: cannot write %s: %s\n" path msg
 
 let export_chrome sink path =
-  match Export.write_chrome path sink with
+  match Fbufs_trace.Chrome.write path (Export.chrome sink) with
   | () ->
       Printf.printf "spans: %d transfers -> %s (chrome://tracing, Perfetto)\n"
         (List.length (Span.transfers sink))

@@ -1,11 +1,26 @@
 open Fbufs_sim
 module Trace = Fbufs_trace.Trace
 module Chrome = Fbufs_trace.Chrome
+module Span_export = Fbufs_span.Span_export
 
 (* Full experiment sweeps emit tens of millions of events; a bounded
-   buffer keeps exports loadable in a viewer while the online histograms
-   (fed before the capacity check) still see every slice. *)
+   buffer keeps exports loadable in a viewer while the online latency
+   sketches (fed before the capacity check) still see every slice. *)
 let default_capacity = 2_000_000
+
+(* One Chrome file per run: the trace's events and, when a causal span
+   sink is installed around the trace, its span trees and flow arrows,
+   all on one lane table — one pid per machine for both kinds of event. *)
+let write_chrome tr path =
+  let lanes = Chrome.lanes () in
+  let events = Chrome.trace_events lanes tr in
+  let spans =
+    match !Machine.default_spans with
+    | None -> []
+    | Some sink -> Span_export.chrome_events lanes sink
+  in
+  Chrome.write path
+    (Chrome.document lanes ~dropped:(Trace.dropped tr) (events @ spans))
 
 let with_trace ?chrome ?jsonl ?(summary = true) ?(capacity = default_capacity)
     f =
@@ -28,7 +43,7 @@ let with_trace ?chrome ?jsonl ?(summary = true) ?(capacity = default_capacity)
         | exception Sys_error msg ->
             Printf.eprintf "trace: cannot write %s: %s\n" path msg
       in
-      Option.iter (write "chrome://tracing, Perfetto" Chrome.write_file) chrome;
+      Option.iter (write "chrome://tracing, Perfetto" write_chrome) chrome;
       Option.iter (write "jsonl" Chrome.write_jsonl) jsonl;
       if Trace.dropped tr > 0 then
         Printf.printf "trace: %d events dropped (buffer capacity)\n"
@@ -45,13 +60,14 @@ let run_workload ?(config = Exp_fig5.User_user) ?(bytes = 65536)
        (Exp_fig5.config_name config)
        (if uncached then "uncached" else "cached/volatile")
        bytes);
-  (* Nesting order matters: spans innermost, so its post-run export still
-     sees the metrics instance and can observe transfer walls into the
-     [fbufs_transfer_wall_us] sketch. *)
-  with_trace ?chrome ?jsonl (fun () ->
-      Metrics_run.with_metrics ?file:metrics (fun () ->
-          Spans_run.with_causal_spans ?jsonl:spans ?chrome:spans_chrome
-            ~summary:spans_summary ?top (fun () ->
+  (* Nesting order matters: spans inside metrics, so their post-run
+     export still sees the metrics instance and can observe transfer walls
+     into the [fbufs_transfer_wall_us] sketch; the trace inside spans, so
+     its Chrome export still sees the span sink and carries its trees. *)
+  Metrics_run.with_metrics ?file:metrics (fun () ->
+      Spans_run.with_causal_spans ?jsonl:spans ?chrome:spans_chrome
+        ~summary:spans_summary ?top (fun () ->
+          with_trace ?chrome ?jsonl (fun () ->
               let p =
                 Exp_fig5.run_one ~uncached ~config ~bytes ?pdu_size ?window
                   ?nmsgs ()

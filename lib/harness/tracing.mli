@@ -18,7 +18,10 @@ val with_trace :
     and afterwards the Chrome JSON and/or JSONL exports are written, the
     per-path latency summary is printed ([summary] defaults to [true]),
     and a one-line note says where the trace went. The previous
-    [default_trace] is restored even if [f] raises. [capacity] bounds the
+    [default_trace] is restored even if [f] raises. When a causal span
+    sink is installed around the call ({!Spans_run.with_causal_spans}),
+    the Chrome file also carries its span trees and flow arrows on the
+    same lanes. [capacity] bounds the
     buffered event count (default 2M — full sweeps emit far more; dropped
     events are reported, and the latency summary still covers them). *)
 
@@ -46,4 +49,5 @@ val run_workload :
     span trees ([spans] JSONL / [spans_chrome], via
     {!Spans_run.with_causal_spans}; [spans_summary] prints the
     critical-path report, [top] limits it) — one execution, every
-    requested output. *)
+    requested output. With both [chrome] and [spans], the [chrome] file
+    holds the trace and the span trees on one timeline. *)

@@ -6,13 +6,15 @@
    the live counters, every machine event and the cost attribution. *)
 
 module Json = Fbufs_trace.Json
-module Histogram = Fbufs_trace.Histogram
+module Sketch = Fbufs_trace.Sketch
 
+(* A sketch family exposes [_count], [_sum] and [{quantile=...}] lines:
+   the shape of a Prometheus summary (a histogram would need
+   [_bucket{le=...}] lines). *)
 let kind_str = function
   | Metrics.Counter -> "counter"
   | Metrics.Gauge -> "gauge"
-  | Metrics.Hist -> "histogram"
-  | Metrics.Sketch -> "sketch"
+  | Metrics.Sketch -> "summary"
 
 (* Prometheus label-value escaping: backslash, quote, newline. *)
 let escape s =
@@ -92,30 +94,25 @@ let to_prometheus t =
         Hashtbl.add seen d.id ();
         emit_header d.name d.help (kind_str d.kind)
       end;
-      let distribution ~count ~sum ~percentile =
-        let ls = label_str d.labels s.labels in
-        Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" d.name ls count);
-        Buffer.add_string b
-          (Printf.sprintf "%s_sum%s %s\n" d.name ls (fnum sum));
-        List.iter
-          (fun p ->
-            let q =
-              label_str
-                (d.labels @ [ "quantile" ])
-                (s.labels @ [ Printf.sprintf "%.2f" (p /. 100.0) ])
-            in
-            Buffer.add_string b
-              (Printf.sprintf "%s%s %s\n" d.name q (fnum (percentile p))))
-          [ 50.0; 90.0; 99.0 ]
-      in
-      match (s.histo, s.sketch) with
-      | Some h, _ ->
-          distribution ~count:(Histogram.count h) ~sum:(Histogram.sum h)
-            ~percentile:(Histogram.percentile h)
-      | None, Some sk ->
-          distribution ~count:(Sketch.count sk) ~sum:(Sketch.sum sk)
-            ~percentile:(Sketch.quantile sk)
-      | None, None ->
+      match s.sketch with
+      | Some sk ->
+          let ls = label_str d.labels s.labels in
+          Buffer.add_string b
+            (Printf.sprintf "%s_count%s %d\n" d.name ls (Sketch.count sk));
+          Buffer.add_string b
+            (Printf.sprintf "%s_sum%s %s\n" d.name ls (fnum (Sketch.sum sk)));
+          List.iter
+            (fun p ->
+              let q =
+                label_str
+                  (d.labels @ [ "quantile" ])
+                  (s.labels @ [ Printf.sprintf "%.2f" (p /. 100.0) ])
+              in
+              Buffer.add_string b
+                (Printf.sprintf "%s%s %s\n" d.name q
+                   (fnum (Sketch.quantile sk p))))
+            [ 50.0; 90.0; 99.0 ]
+      | None ->
           Buffer.add_string b
             (Printf.sprintf "%s%s %s\n" d.name
                (label_str d.labels s.labels)

@@ -6,7 +6,7 @@ module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
 let net_pdu_bytes =
-  Mx.histogram ~name:"fbufs_net_pdu_bytes"
+  Mx.sketch ~name:"fbufs_net_pdu_bytes"
     ~help:"PDU payload sizes, by direction" ~labels:[ "machine"; "dir" ] ()
 
 (* PDU counts live in [Stats] (osiris.tx_pdu / rx_pdu / pdu_dropped);

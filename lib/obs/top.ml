@@ -1,7 +1,7 @@
 module Machine = Fbufs_sim.Machine
 module Mx = Fbufs_metrics.Metrics
 module Ledger = Fbufs_metrics.Ledger
-module Sketch = Fbufs_metrics.Sketch
+module Sketch = Fbufs_trace.Sketch
 module Comp = Fbufs_metrics.Component
 
 type t = {

@@ -81,7 +81,7 @@ val metrics : t -> Fbufs_metrics.Metrics.t option
 (** The attached metrics instance, if the machine is metered. Event
     counts go to {!Stats} on every machine; only the registry families
     (per-path allocator counters and gauges, policy, monitors, the PDU
-    size histogram) match on this, so an unmetered machine pays one
+    size sketch) match on this, so an unmetered machine pays one
     pointer comparison there. *)
 
 val set_spans : t -> Fbufs_span.Span.t option -> unit

@@ -1,4 +1,5 @@
 module Comp = Fbufs_metrics.Component
+module Sketch = Fbufs_trace.Sketch
 
 (* Critical-path extraction over one transfer's span set.
 
@@ -195,23 +196,23 @@ let print_report ppf ?top t =
     Format.fprintf ppf "(%d more transfer%s not shown)@." (n - shown)
       (if n - shown = 1 then "" else "s");
   if n > 0 then begin
-    let sk = Fbufs_metrics.Sketch.create () in
+    let sk = Sketch.create () in
     let charged = ref 0 in
     List.iter
       (fun tr ->
         let s = analyze t tr in
-        Fbufs_metrics.Sketch.add sk s.wall_us;
+        Sketch.add sk s.wall_us;
         charged := !charged + Span.total_ns tr)
       all;
     Format.fprintf ppf
       "aggregate: %d transfers, charged %a us, wall us p50 %.1f p90 %.1f \
        p99 %.1f max %.1f (sketch alpha %.2f)@."
       n pp_us !charged
-      (Fbufs_metrics.Sketch.quantile sk 50.0)
-      (Fbufs_metrics.Sketch.quantile sk 90.0)
-      (Fbufs_metrics.Sketch.quantile sk 99.0)
-      (Fbufs_metrics.Sketch.max_value sk)
-      (Fbufs_metrics.Sketch.alpha sk)
+      (Sketch.quantile sk 50.0)
+      (Sketch.quantile sk 90.0)
+      (Sketch.quantile sk 99.0)
+      (Sketch.max_value sk)
+      (Sketch.alpha sk)
   end;
   (match Span.check t with
   | [] -> ()

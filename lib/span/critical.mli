@@ -30,4 +30,4 @@ val print_summary : Format.formatter -> Span.t -> summary -> unit
 val print_report : Format.formatter -> ?top:int -> Span.t -> unit
 (** Whole sink: per-transfer summaries (first [top] transfers when
     given), an aggregate wall-time quantile line backed by
-    {!Fbufs_metrics.Sketch}, and any {!Span.check} violations. *)
+    {!Fbufs_trace.Sketch}, and any {!Span.check} violations. *)

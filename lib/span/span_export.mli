@@ -1,13 +1,16 @@
 (** Span-tree exporters: Chrome trace_event (with flow events for
     follows-from edges) and JSONL with a round-trip parser. *)
 
-val chrome : Span.t -> Fbufs_trace.Json.t
-(** Chrome [trace_event] document: machines map to pids, domains to
-    tids, spans to ["X"] complete events (component charges in [args]),
-    follows-from edges to flow-event pairs (["s"]/["f"] with
-    [bp = "e"]). Loadable in about:tracing / Perfetto. *)
+val chrome_events :
+  Fbufs_trace.Chrome.lanes -> Span.t -> Fbufs_trace.Json.t list
+(** Chrome [trace_event] events on the given lanes: spans as ["X"]
+    complete events with [cat = "span"] (component charges in [args]),
+    follows-from edges as flow-event pairs (["s"]/["f"] with
+    [bp = "e"]). *)
 
-val write_chrome : string -> Span.t -> unit
+val chrome : Span.t -> Fbufs_trace.Json.t
+(** {!chrome_events} alone in a {!Fbufs_trace.Chrome.document}.
+    Loadable in about:tracing / Perfetto. *)
 
 val jsonl : Span.t -> string
 (** One JSON object per line: each transfer line followed by its span

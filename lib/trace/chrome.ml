@@ -1,36 +1,47 @@
-(* pid/tid assignment: machines get pids 1.. in order of first appearance;
-   (machine, domain) pairs get tids within their machine, with tid 1
-   reserved for the machine-level lane (domain = ""). *)
+(* One lane table per export. A machine's lanes are created on first
+   use, and each new lane queues its metadata event (newest first), so
+   the table and its [process_name]/[thread_name] events cannot
+   disagree. *)
 
-type ids = {
-  pids : (string, int) Hashtbl.t;
-  tids : (string * string, int) Hashtbl.t;
-  next_tid : (string, int) Hashtbl.t;
-}
+type proc = { pid : int; domains : (string, int) Hashtbl.t }
 
-let assign ids (ev : Trace.event) =
-  let pid =
-    match Hashtbl.find_opt ids.pids ev.Trace.machine with
-    | Some p -> p
+type lanes = { procs : (string, proc) Hashtbl.t; mutable meta : Json.t list }
+
+let lanes () = { procs = Hashtbl.create 4; meta = [] }
+
+let metadata what ids name =
+  Json.Obj
+    ((("name", Json.String what) :: ("ph", Json.String "M") :: ids)
+    @ [ ("args", Json.Obj [ ("name", Json.String name) ]) ])
+
+let process_name pid machine =
+  metadata "process_name" [ ("pid", Json.Int pid) ] machine
+
+let thread_name pid tid name =
+  metadata "thread_name" [ ("pid", Json.Int pid); ("tid", Json.Int tid) ] name
+
+let proc l machine =
+  match Hashtbl.find_opt l.procs machine with
+  | Some p -> p
+  | None ->
+      let pid = 1 + Hashtbl.length l.procs in
+      let p = { pid; domains = Hashtbl.create 8 } in
+      Hashtbl.add l.procs machine p;
+      l.meta <-
+        thread_name pid 1 "machine" :: process_name pid machine :: l.meta;
+      p
+
+let lane l ~machine ~domain =
+  let p = proc l machine in
+  if domain = "" then (p.pid, 1)
+  else
+    match Hashtbl.find_opt p.domains domain with
+    | Some tid -> (p.pid, tid)
     | None ->
-        let p = 1 + Hashtbl.length ids.pids in
-        Hashtbl.add ids.pids ev.Trace.machine p;
-        Hashtbl.add ids.next_tid ev.Trace.machine 2;
-        p
-  in
-  let tid =
-    if ev.Trace.domain = "" then 1
-    else
-      let key = (ev.Trace.machine, ev.Trace.domain) in
-      match Hashtbl.find_opt ids.tids key with
-      | Some t -> t
-      | None ->
-          let t = Hashtbl.find ids.next_tid ev.Trace.machine in
-          Hashtbl.replace ids.next_tid ev.Trace.machine (t + 1);
-          Hashtbl.add ids.tids key t;
-          t
-  in
-  (pid, tid)
+        let tid = 2 + Hashtbl.length p.domains in
+        Hashtbl.add p.domains domain tid;
+        l.meta <- thread_name p.pid tid domain :: l.meta;
+        (p.pid, tid)
 
 let arg_json = function
   | Trace.Str s -> Json.String s
@@ -44,8 +55,8 @@ let args_json (ev : Trace.event) =
 
 let phase_name = function Trace.Instant -> "i" | Trace.Complete _ -> "X"
 
-let event_json ids (ev : Trace.event) =
-  let pid, tid = assign ids ev in
+let event_json l (ev : Trace.event) =
+  let pid, tid = lane l ~machine:ev.Trace.machine ~domain:ev.Trace.domain in
   let shape =
     match ev.Trace.phase with
     | Trace.Instant -> ("s", Json.String "t")
@@ -65,76 +76,28 @@ let event_json ids (ev : Trace.event) =
   | [] -> Json.Obj fields
   | a -> Json.Obj (fields @ [ ("args", Json.Obj a) ])
 
-let metadata_events ids =
-  let procs =
-    Hashtbl.fold
-      (fun name pid acc ->
-        Json.Obj
-          [
-            ("name", Json.String "process_name");
-            ("ph", Json.String "M");
-            ("pid", Json.Int pid);
-            ("args", Json.Obj [ ("name", Json.String name) ]);
-          ]
-        :: acc)
-      ids.pids []
-  in
-  let threads =
-    Hashtbl.fold
-      (fun (machine, domain) tid acc ->
-        match Hashtbl.find_opt ids.pids machine with
-        | None -> acc
-        | Some pid ->
-            Json.Obj
-              [
-                ("name", Json.String "thread_name");
-                ("ph", Json.String "M");
-                ("pid", Json.Int pid);
-                ("tid", Json.Int tid);
-                ("args", Json.Obj [ ("name", Json.String domain) ]);
-              ]
-            :: acc)
-      ids.tids []
-  in
-  let machine_lanes =
-    Hashtbl.fold
-      (fun _ pid acc ->
-        Json.Obj
-          [
-            ("name", Json.String "thread_name");
-            ("ph", Json.String "M");
-            ("pid", Json.Int pid);
-            ("tid", Json.Int 1);
-            ("args", Json.Obj [ ("name", Json.String "machine") ]);
-          ]
-        :: acc)
-      ids.pids []
-  in
-  procs @ machine_lanes @ threads
+let trace_events l t = List.map (event_json l) (Trace.events t)
 
-let to_json t =
-  let ids =
-    {
-      pids = Hashtbl.create 4;
-      tids = Hashtbl.create 16;
-      next_tid = Hashtbl.create 4;
-    }
-  in
-  let evs = List.map (event_json ids) (Trace.events t) in
+let document l ~dropped events =
   Json.Obj
     [
-      ("traceEvents", Json.List (evs @ metadata_events ids));
+      ("traceEvents", Json.List (events @ List.rev l.meta));
       ("displayTimeUnit", Json.String "ms");
-      ("otherData", Json.Obj [ ("dropped", Json.Int (Trace.dropped t)) ]);
+      ("otherData", Json.Obj [ ("dropped", Json.Int dropped) ]);
     ]
 
-let to_string t = Json.to_string (to_json t)
+let to_string t =
+  let l = lanes () in
+  Json.to_string (document l ~dropped:(Trace.dropped t) (trace_events l t))
 
-let write_file t path =
+let write path doc =
+  let buf = Buffer.create 65536 in
+  Json.to_buffer buf doc;
+  Buffer.add_char buf '\n';
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+    (fun () -> Buffer.output_buffer oc buf)
 
 let jsonl_event (ev : Trace.event) =
   let fields =

@@ -47,14 +47,14 @@ type t = {
   mutable len : int;
   capacity : int option;
   ring : bool;
-  latency : bool; (* maintain per-(kind, path) histograms *)
+  latency : bool; (* maintain per-(kind, path) latency sketches *)
   mutable start : int; (* index of the oldest retained event (ring mode) *)
   mutable dropped : int;
   mutable tap : (event -> unit) option;
   mutable sampler : sampler option;
   last : float array; (* newest timestamp seen; float array so the
                          per-event update is an unboxed store *)
-  hist : (string * int, Histogram.t) Hashtbl.t;
+  lat : (string * int, Sketch.t) Hashtbl.t;
 }
 
 let phase_code = function Instant -> 0 | Complete _ -> 1
@@ -136,7 +136,7 @@ let create ?(ring = false) ?(latency = true) ?capacity () =
     tap = None;
     sampler = None;
     last = [| 0.0 |];
-    hist = Hashtbl.create 64;
+    lat = Hashtbl.create 64;
   }
 
 let set_tap t f = t.tap <- f
@@ -157,7 +157,7 @@ let clear t =
   t.len <- 0;
   t.start <- 0;
   t.dropped <- 0;
-  Hashtbl.reset t.hist
+  Hashtbl.reset t.lat
 
 let event_count t = t.len
 let dropped t = t.dropped
@@ -215,15 +215,15 @@ let push t ev =
 
 let record_latency_on t ~kind ~path_id dur =
   let key = (kind, path_id) in
-  let h =
-    match Hashtbl.find_opt t.hist key with
-    | Some h -> h
+  let sk =
+    match Hashtbl.find_opt t.lat key with
+    | Some sk -> sk
     | None ->
-        let h = Histogram.create () in
-        Hashtbl.add t.hist key h;
-        h
+        let sk = Sketch.create () in
+        Hashtbl.add t.lat key sk;
+        sk
   in
-  Histogram.add h dur
+  Sketch.add sk dur
 
 let record_latency t ~kind ~path_id dur =
   if t.latency then record_latency_on t ~kind ~path_id dur
@@ -274,17 +274,6 @@ let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
       complete t ~ts_us ~dur_us ~machine ~args kind
 
 let summary t =
-  Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hist []
+  Hashtbl.fold (fun k sk acc -> (k, sk) :: acc) t.lat []
   |> List.sort (fun ((ka, pa), _) ((kb, pb), _) ->
          match String.compare ka kb with 0 -> compare pa pb | c -> c)
-
-let kind_summary t =
-  let merged = Hashtbl.create 32 in
-  List.iter
-    (fun ((kind, _), h) ->
-      match Hashtbl.find_opt merged kind with
-      | Some prev -> Hashtbl.replace merged kind (Histogram.merge prev h)
-      | None -> Hashtbl.replace merged kind h)
-    (summary t);
-  Hashtbl.fold (fun k h acc -> (k, h) :: acc) merged []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

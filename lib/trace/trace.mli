@@ -14,9 +14,9 @@
     never charges simulated time, so enabling tracing cannot perturb any
     measurement.
 
-    Latency histograms keyed by [(kind, path_id)] are maintained online as
-    every slice is pushed, so percentile summaries survive even when a
-    bounded buffer drops raw events. *)
+    Latency sketches ({!Sketch}) keyed by [(kind, path_id)] are
+    maintained online as every slice is pushed, so percentile summaries
+    survive even when a bounded buffer drops raw events. *)
 
 type arg = Str of string | Int of int | Float of float
 
@@ -36,15 +36,15 @@ type t
 
 val create : ?ring:bool -> ?latency:bool -> ?capacity:int -> unit -> t
 (** [capacity] bounds the number of buffered events. By default, once
-    full, further events are counted in {!dropped} but not stored
-    (histograms still see every slice). With [~ring:true] the sink becomes a
-    flight-recorder ring instead: when full, each new event overwrites
-    the {e oldest} retained one (the overwritten event counts in
-    {!dropped}), so the buffer always holds the most recent [capacity]
-    events. [~latency:false] skips the per-[(kind, path)] latency
-    histograms entirely — the log-bucketing is the most expensive part
+    full, further events are counted in {!dropped} but not stored (the
+    latency sketches still see every slice). With [~ring:true] the sink
+    becomes a flight-recorder ring instead: when full, each new event
+    overwrites the {e oldest} retained one (the overwritten event counts
+    in {!dropped}), so the buffer always holds the most recent
+    [capacity] events. [~latency:false] skips the per-[(kind, path)] latency
+    sketches entirely — the log-bucketing is the most expensive part
     of accepting an event, and an always-armed recorder ring has no
-    use for it ({!latency_table} renders empty). Unbounded by default.
+    use for it ({!summary} is empty). Unbounded by default.
     Raises [Invalid_argument] when [capacity] is not positive, or when
     [ring] is set without a [capacity]. *)
 
@@ -119,12 +119,9 @@ val complete :
   ?args:(string * arg) list ->
   string ->
   unit
-(** A slice of known duration starting at [ts_us]; feeds the histogram for
-    its [(kind, path_id)]. *)
+(** A slice of known duration starting at [ts_us]; feeds the latency
+    sketch for its [(kind, path_id)]. *)
 
-val summary : t -> ((string * int) * Histogram.t) list
-(** Latency histograms keyed by [(kind, path_id)], sorted by kind then
+val summary : t -> ((string * int) * Sketch.t) list
+(** Latency sketches keyed by [(kind, path_id)], sorted by kind then
     path id. Populated by [complete] and [complete_comp]. *)
-
-val kind_summary : t -> (string * Histogram.t) list
-(** {!summary} merged across paths: one histogram per kind. *)

@@ -74,8 +74,8 @@ let rt_counter =
 
 let rt_gauge = Mx.gauge ~name:"fbufs_test_rt_depth" ~help:"round-trip gauge" ()
 
-let rt_hist =
-  Mx.histogram ~name:"fbufs_test_rt_bytes" ~help:"round-trip histogram" ()
+let rt_sketch =
+  Mx.sketch ~name:"fbufs_test_rt_bytes" ~help:"round-trip sketch" ()
 
 let populated () =
   let mx = Mx.create () in
@@ -83,7 +83,7 @@ let populated () =
   Mx.incr mx rt_counter ~labels:[ "7" ] ();
   Mx.incr mx rt_counter ~labels:[ "9" ] ();
   Mx.set mx rt_gauge 42.0;
-  List.iter (Mx.observe mx rt_hist) [ 10.0; 20.0; 30.0 ];
+  List.iter (Mx.observe mx rt_sketch) [ 10.0; 20.0; 30.0 ];
   Ledger.charge (Mx.ledger mx) ~machine:"tb" ~comp:Component.Copy
     ~kind:"bcopy" 2.5;
   mx
@@ -104,7 +104,7 @@ let test_json_round_trip () =
     (flat_value flats "fbufs_test_rt_total" [ ("path", "7") ]);
   check (Alcotest.float 0.0) "gauge cell" 42.0
     (flat_value flats "fbufs_test_rt_depth" []);
-  check (Alcotest.float 0.0) "histogram sum" 60.0
+  check (Alcotest.float 0.0) "sketch sum" 60.0
     (flat_value flats "fbufs_test_rt_bytes" []);
   check (Alcotest.float 0.0) "ledger family" 2.5
     (flat_value flats "fbufs_cost_us_total"
@@ -124,11 +124,49 @@ let test_prometheus_text () =
     [
       "# TYPE fbufs_test_rt_total counter";
       "fbufs_test_rt_total{path=\"7\"} 2";
-      "# TYPE fbufs_test_rt_bytes histogram";
+      "# TYPE fbufs_test_rt_bytes summary";
       "fbufs_test_rt_bytes_count 3";
       "fbufs_cost_us_total{machine=\"tb\",component=\"copy\",kind=\"bcopy\"} \
        2.5";
     ]
+
+(* Every family a metered end-to-end run exposes declares a Prometheus
+   text type: sketch families (the PDU sizes, the span transfer walls)
+   render [_count]/[_sum]/[{quantile=...}] lines, which is a summary. *)
+let test_prometheus_types () =
+  let sink = Fbufs_span.Span.create () in
+  let saved = !Machine.default_spans in
+  let (), mx =
+    metered (fun () ->
+        Machine.default_spans := Some sink;
+        Fun.protect
+          ~finally:(fun () -> Machine.default_spans := saved)
+          (fun () ->
+            ignore
+              (Fbufs_harness.Exp_fig5.run_one ~uncached:false
+                 ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384
+                 ~window:4 ~nmsgs:4 ())))
+  in
+  Fbufs_harness.Spans_run.roll_transfer_walls mx sink;
+  let types =
+    String.split_on_char '\n' (Expo.to_prometheus mx)
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
+           | _ -> None)
+  in
+  List.iter
+    (fun family ->
+      check Alcotest.(option string) (family ^ " is a summary") (Some "summary")
+        (List.assoc_opt family types))
+    [ "fbufs_net_pdu_bytes"; "fbufs_transfer_wall_us" ];
+  List.iter
+    (fun (name, kind) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "# TYPE %s %s is a Prometheus text type" name kind)
+        true
+        (List.mem kind [ "counter"; "gauge"; "summary" ]))
+    types
 
 (* ------------------------------------------------------------------ *)
 (* Ledger exactness                                                    *)
@@ -292,6 +330,7 @@ let () =
         [
           tc "JSON round-trip" `Quick test_json_round_trip;
           tc "Prometheus text" `Quick test_prometheus_text;
+          tc "Prometheus types" `Quick test_prometheus_types;
           tc "Stats exposed as events" `Quick test_stats_exposed_as_events;
         ] );
       ( "exactness",

@@ -7,51 +7,94 @@
    population, the second scenario below pushes it past the fresh path
    and the test fails.
 
-   Assertions compare the two measured paths against each other, never
-   against an absolute time, so CI machine speed does not matter. To keep
-   one unlucky scheduling quantum from deciding the verdict, each test
-   interleaves five fresh/cached trial pairs — so drift (thermal, cache,
-   competing load) hits both paths alike — and asserts on the medians. *)
+   Assertions compare two measured paths against each other, never
+   against an absolute time, so CI machine speed does not matter. Each
+   test times 101 trial pairs (21 for whole Table 1 runs) on the
+   monotonic clock in ABBA order (A B, B A, A B, ...), so neither side
+   always runs first, and asserts on the median of the pairs' ratios.
+   The two trials of a pair run back to back, so they share the host's
+   state: a shared host flips between a fast and a slow state (cycle
+   times 2x apart), and a ratio of the two sides' own medians then
+   depends on how many slow trials each side happened to draw. A
+   failure message carries each side's median, min and max. The two
+   pay-for-play ratios whose sides do the same work also pin the exact
+   allocation proxy: equal minor words per cycle. *)
 
 open Fbufs
 module Testbed = Fbufs_harness.Testbed
 
-let trials = 5
+let trials = 101
 let iters_per_trial = 1_000
 
+let elapsed_ns t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0)
+
 let time_ns iters f =
-  (* One warmup pass keeps first-touch effects out of the measurement. *)
+  (* One warmup pass keeps first-touch effects out of the measurement;
+     starting from an empty minor heap keeps a trial from paying for
+     the previous trial's garbage (a minor collection and the major
+     slice it drives), which would land on one side at random. *)
   f ();
-  let t0 = Unix.gettimeofday () in
+  Gc.minor ();
+  let t0 = Monotonic_clock.now () in
   for _ = 1 to iters do
     f ()
   done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters
+  elapsed_ns t0 /. float_of_int iters
 
 let median samples =
   let a = List.sort compare samples in
   List.nth a (List.length a / 2)
 
-(* Five (fresh, cached) pairs measured back to back; medians of each. *)
-let interleaved_medians ~fresh ~cached =
-  let fs = ref [] and cs = ref [] in
-  for _ = 1 to trials do
-    fs := time_ns iters_per_trial fresh :: !fs;
-    cs := time_ns iters_per_trial cached :: !cs
+(* One side's per-trial times, in trial order. *)
+type side = { name : string; samples : float list }
+
+(* [n] timed pairs in ABBA order; [switch true] runs before each A
+   trial and [switch false] before each B trial, outside the timing. *)
+let abba_switched ~n ~switch ~run (a, fa) (b, fb) =
+  let sa = ref [] and sb = ref [] in
+  let time_a () = switch true; sa := run fa :: !sa in
+  let time_b () = switch false; sb := run fb :: !sb in
+  for i = 1 to n do
+    if i mod 2 = 1 then (time_a (); time_b ()) else (time_b (); time_a ())
   done;
-  (median !fs, median !cs)
+  ({ name = a; samples = !sa }, { name = b; samples = !sb })
+
+let abba a b =
+  abba_switched ~n:trials ~switch:ignore ~run:(time_ns iters_per_trial) a b
+
+let pp_side s =
+  Printf.sprintf "%s (median %.0f ns, min %.0f, max %.0f)" s.name
+    (median s.samples)
+    (List.fold_left Float.min Float.infinity s.samples)
+    (List.fold_left Float.max Float.neg_infinity s.samples)
+
+(* [lhs] within [bound] times [rhs]: the median over the trial pairs of
+   one [abba] run of lhs/rhs. *)
+let check_within ~bound lhs rhs =
+  let ratio = median (List.map2 ( /. ) lhs.samples rhs.samples) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s <= %.2f * %s: median pair ratio %.3f" (pp_side lhs)
+       bound (pp_side rhs) ratio)
+    true (ratio <= bound)
+
+(* The exact allocation proxy: minor words per cycle over a warm run. *)
+let minor_words_per_cycle f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters_per_trial do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters_per_trial
 
 let alloc_free alloc dom npages () =
   let fb = Allocator.alloc alloc ~npages in
   Transfer.free fb ~dom
 
 let check_cached_not_slower what ~fresh ~cached =
-  let fresh_ns, cached_ns = interleaved_medians ~fresh ~cached in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "%s: median cached alloc (%.0f ns) <= median fresh alloc (%.0f ns)"
-       what cached_ns fresh_ns)
-    true (cached_ns <= fresh_ns)
+  let fresh, cached =
+    abba (what ^ " fresh alloc", fresh) (what ^ " cached alloc", cached)
+  in
+  check_within ~bound:1.0 cached fresh
 
 (* Fresh-path baseline: uncached fbufs re-map every page on each cycle. *)
 let fresh_path tb app =
@@ -103,18 +146,12 @@ let test_metrics_disabled_not_slower_than_enabled () =
   let alloc_m =
     Testbed.allocator metered ~domains:[ app_m ] Fbuf.cached_volatile
   in
-  let enabled_ns, disabled_ns =
-    interleaved_medians
-      ~fresh:(alloc_free alloc_m app_m 8)
-      ~cached:(alloc_free alloc_u app_u 8)
+  let enabled, disabled =
+    abba
+      ("metered cycle", alloc_free alloc_m app_m 8)
+      ("disabled cycle", alloc_free alloc_u app_u 8)
   in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median disabled cycle (%.0f ns) <= 1.05 * median metered cycle \
-        (%.0f ns)"
-       disabled_ns enabled_ns)
-    true
-    (disabled_ns <= enabled_ns *. 1.05)
+  check_within ~bound:1.05 disabled enabled
 
 (* Causal spans are pay-for-play the same way: every span entry point
    guards on the machine carrying a sink, so a run without one pays a
@@ -137,18 +174,12 @@ let test_spans_disabled_not_slower_than_enabled () =
   let cycle tb alloc dom () =
     Machine.with_transfer tb.Testbed.m "cycle" (alloc_free alloc dom 8)
   in
-  let enabled_ns, disabled_ns =
-    interleaved_medians
-      ~fresh:(cycle spanned alloc_s app_s)
-      ~cached:(cycle plain alloc_p app_p)
+  let enabled, disabled =
+    abba
+      ("recording cycle", cycle spanned alloc_s app_s)
+      ("unspanned cycle", cycle plain alloc_p app_p)
   in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median unspanned cycle (%.0f ns) <= 1.05 * median recording cycle \
-        (%.0f ns)"
-       disabled_ns enabled_ns)
-    true
-    (disabled_ns <= enabled_ns *. 1.05)
+  check_within ~bound:1.05 disabled enabled
 
 (* Same structural claim for the quantile sketch: observation sites guard
    on the machine carrying a registry, so with none installed a sketch
@@ -184,18 +215,12 @@ let test_sketch_disabled_not_slower_than_enabled () =
     | None -> ()
     | Some mx -> Mx.observe mx guard_sketch 42.0
   in
-  let enabled_ns, disabled_ns =
-    interleaved_medians
-      ~fresh:(cycle metered alloc_m app_m)
-      ~cached:(cycle unmetered alloc_u app_u)
+  let enabled, disabled =
+    abba
+      ("sketching cycle", cycle metered alloc_m app_m)
+      ("sketchless cycle", cycle unmetered alloc_u app_u)
   in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median sketchless cycle (%.0f ns) <= 1.05 * median sketching cycle \
-        (%.0f ns)"
-       disabled_ns enabled_ns)
-    true
-    (disabled_ns <= enabled_ns *. 1.05)
+  check_within ~bound:1.05 disabled enabled
 
 (* The TLB deferral rework keeps the PR 6 immediate-shootdown behaviour
    reachable behind [Pmap.elision_enabled]; its simulated costs in that
@@ -214,52 +239,53 @@ let test_elision_off_within_noise_of_on () =
     Fbufs_vm.Access.touch_write app ~vaddr:(Fbuf.vaddr fb) ~npages:8;
     Transfer.free fb ~dom:app
   in
-  let on_ns, off_ns =
+  (* Timed trials first: they are the word count's warm-up. *)
+  let on, off, on_words, off_words =
     Fun.protect ~finally:(fun () -> Fbufs_vm.Pmap.elision_enabled := true)
-    @@ fun () -> interleaved_medians ~fresh:(cycle true) ~cached:(cycle false)
+    @@ fun () ->
+    let on, off =
+      abba ("elision-on cycle", cycle true) ("elision-off cycle", cycle false)
+    in
+    let on_words = minor_words_per_cycle (cycle true) in
+    (on, off, on_words, minor_words_per_cycle (cycle false))
   in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median elision-off cycle (%.0f ns) <= 1.05 * median elision-on \
-        cycle (%.0f ns)"
-       off_ns on_ns)
-    true
-    (off_ns <= on_ns *. 1.05)
+  check_within ~bound:1.05 off on;
+  Alcotest.(check (float 0.0))
+    "elision-off minor words per cycle = elision-on" on_words off_words
 
 (* Buffer-sharing hooks are pay-for-play the same way: a Static policy's
    hooks maintain one integer account and never take the admission path
    ([sh_dynamic] is false), so a managed alloc/free cycle does strictly
-   bounded extra work. The bare cycle must stay within noise of the
-   managed one — and the managed one, doing more, must not be the faster
-   side by more than noise either; one bound per direction. *)
+   bounded extra work. Both sides run on one allocator and one heap: the
+   Static hooks are attached ([Allocator.set_share], via a fresh Static
+   policy's registration) before each managed trial and detached before
+   each bare one. The bare cycle must stay within noise of the managed
+   one, and the hooks allocate nothing, so minor words per cycle match. *)
 let test_static_share_within_noise_of_bare () =
-  let bare_tb = Testbed.create () in
-  let app_b = Testbed.user_domain bare_tb "app" in
-  let alloc_b =
-    Testbed.allocator bare_tb ~domains:[ app_b ] Fbuf.cached_volatile
+  let module Policy = Fbufs_policy.Policy in
+  let tb = Testbed.create () in
+  let app = Testbed.user_domain tb "app" in
+  let alloc = Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile in
+  let share on =
+    if on then
+      Policy.register
+        (Policy.create tb.Testbed.region Policy.Static)
+        alloc ~klass:Policy.Latency
+    else Allocator.set_share alloc None
   in
-  let managed_tb = Testbed.create () in
-  let app_m = Testbed.user_domain managed_tb "app" in
-  let alloc_m =
-    Testbed.allocator managed_tb ~domains:[ app_m ] Fbuf.cached_volatile
+  let cycle = alloc_free alloc app 8 in
+  let managed, bare =
+    abba_switched ~n:trials ~switch:share ~run:(time_ns iters_per_trial)
+      ("static-managed cycle", cycle)
+      ("bare cycle", cycle)
   in
-  let pol =
-    Fbufs_policy.Policy.create managed_tb.Testbed.region
-      Fbufs_policy.Policy.Static
-  in
-  Fbufs_policy.Policy.register pol alloc_m ~klass:Fbufs_policy.Policy.Latency;
-  let managed_ns, bare_ns =
-    interleaved_medians
-      ~fresh:(alloc_free alloc_m app_m 8)
-      ~cached:(alloc_free alloc_b app_b 8)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median bare cycle (%.0f ns) <= 1.05 * median static-managed cycle \
-        (%.0f ns)"
-       bare_ns managed_ns)
-    true
-    (bare_ns <= managed_ns *. 1.05)
+  check_within ~bound:1.05 bare managed;
+  share true;
+  let managed_words = minor_words_per_cycle cycle in
+  share false;
+  let bare_words = minor_words_per_cycle cycle in
+  Alcotest.(check (float 0.0))
+    "bare minor words per cycle = static-managed" managed_words bare_words
 
 (* The Osiris adapter stages each PDU in a recycled host buffer, so a
    steady-state send plus delivery allocates only small bookkeeping (the
@@ -424,7 +450,7 @@ let test_obs_unarmed_pays_nothing () =
   in
   let r = R.create { R.default with dir = "obs-perf-unused" } in
   let mon = Mon.create ~recorder:r Mon.default in
-  let armed_tb, armed_ns, bare_ns =
+  let armed_tb, armed, bare =
     R.with_armed r @@ fun () ->
     Mon.with_installed mon @@ fun () ->
     let armed_tb = Testbed.create () in
@@ -436,52 +462,40 @@ let test_obs_unarmed_pays_nothing () =
       alloc_free alloc dom 8 ();
       Fbufs_sim.Machine.seq_point tb.Testbed.m "perf"
     in
-    let armed_ns, bare_ns =
-      interleaved_medians
-        ~fresh:(cycle armed_tb alloc_a app_a)
-        ~cached:(cycle bare_tb alloc_b app_b)
+    let armed, bare =
+      abba
+        ("armed cycle", cycle armed_tb alloc_a app_a)
+        ("unarmed cycle", cycle bare_tb alloc_b app_b)
     in
-    (armed_tb, armed_ns, bare_ns)
+    (armed_tb, armed, bare)
   in
   ignore armed_tb;
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median unarmed cycle (%.0f ns) <= 1.05 * median armed cycle (%.0f ns)"
-       bare_ns armed_ns)
-    true
-    (bare_ns <= armed_ns *. 1.05)
+  check_within ~bound:1.05 bare armed
 
 (* End-to-end bound on the armed cost: a Table 1 run with the recorder
    tapping every event at default sampling stays within 1.10x of the
    bare run. Whole runs are the unit of measurement here, so one run per
-   trial, medians over five. *)
+   trial, medians over the ABBA trials. *)
 let test_recorder_armed_table1_overhead () =
   let module R = Fbufs_obs.Recorder in
   let time_once f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     f ();
-    Unix.gettimeofday () -. t0
+    elapsed_ns t0
   in
   let bare () = ignore (Fbufs_harness.Exp_table1.run ()) in
   let armed () =
     let r = R.create { R.default with dir = "obs-perf-unused" } in
     R.with_armed r bare
   in
-  let armed_s = ref [] and bare_s = ref [] in
-  (* warmup one pair, then interleave *)
+  (* warmup one pair, then ABBA *)
   bare ();
   armed ();
-  for _ = 1 to trials do
-    armed_s := time_once armed :: !armed_s;
-    bare_s := time_once bare :: !bare_s
-  done;
-  let armed_m = median !armed_s and bare_m = median !bare_s in
-  Alcotest.(check bool)
-    (Printf.sprintf
-       "median armed table1 (%.1f ms) <= 1.10 * median bare table1 (%.1f ms)"
-       (armed_m *. 1e3) (bare_m *. 1e3))
-    true
-    (armed_m <= bare_m *. 1.10)
+  let armed, bare =
+    abba_switched ~n:21 ~switch:ignore ~run:time_once ("armed table1", armed)
+      ("bare table1", bare)
+  in
+  check_within ~bound:1.10 armed bare
 
 (* The interprocedural layer re-analyzes the whole tree on every lint
    run (parse, call graph, SCC fixpoint, abstract interpretation), so a
@@ -490,16 +504,17 @@ let test_recorder_armed_table1_overhead () =
    currently finishes in well under a second — asserted on the median of
    five runs so one cold page cache cannot decide the verdict. *)
 let lint_budget_s = 20.0
+let lint_runs = 5
 
 let test_whole_tree_lint_within_budget () =
   match Fbufs_lint.Driver.find_root () with
   | None -> Alcotest.skip ()
   | Some root ->
       let samples = ref [] in
-      for _ = 1 to trials do
-        let t0 = Unix.gettimeofday () in
+      for _ = 1 to lint_runs do
+        let t0 = Monotonic_clock.now () in
         let (_ : Fbufs_lint.Finding.t list) = Fbufs_lint.Driver.run ~root in
-        samples := (Unix.gettimeofday () -. t0) :: !samples
+        samples := (elapsed_ns t0 /. 1e9) :: !samples
       done;
       let m = median !samples in
       Alcotest.(check bool)

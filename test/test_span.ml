@@ -9,7 +9,7 @@ module Span = Fbufs_span.Span
 module Critical = Fbufs_span.Critical
 module Export = Fbufs_span.Span_export
 module Comp = Fbufs_metrics.Component
-module Sketch = Fbufs_metrics.Sketch
+module Sketch = Fbufs_trace.Sketch
 module Mx = Fbufs_metrics.Metrics
 module Machine = Fbufs_sim.Machine
 module Json = Fbufs_trace.Json
@@ -307,6 +307,21 @@ let test_sketch_negative_and_zero () =
     "p100 hits the max" true
     (Float.abs (Sketch.quantile sk 100.0 -. 100.0) <= 1.0)
 
+(* Clamping into the exact extremes makes every quantile of one sample
+   exact; an empty sketch has no quantile at all. *)
+let test_sketch_single_sample_and_empty () =
+  let sk = Sketch.create () in
+  check Alcotest.int "empty count" 0 (Sketch.count sk);
+  Alcotest.(check bool) "empty quantile is nan" true
+    (Float.is_nan (Sketch.quantile sk 50.0));
+  Sketch.add sk 42.0;
+  List.iter
+    (fun p ->
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "p%g of a single sample" p)
+        42.0 (Sketch.quantile sk p))
+    [ 0.0; 50.0; 99.0; 100.0 ]
+
 let test_sketch_alpha_mismatch_rejected () =
   let a = Sketch.create ~alpha:0.01 () and b = Sketch.create ~alpha:0.02 () in
   Alcotest.check_raises "mismatched alpha"
@@ -426,6 +441,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_merge_is_union;
           QCheck_alcotest.to_alcotest prop_serialization_round_trips;
           tc "negatives and zero" `Quick test_sketch_negative_and_zero;
+          tc "single sample and empty" `Quick
+            test_sketch_single_sample_and_empty;
           tc "alpha mismatch" `Quick test_sketch_alpha_mismatch_rejected;
           tc "registry kind" `Quick test_sketch_metric_kind;
         ] );

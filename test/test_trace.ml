@@ -1,11 +1,12 @@
-(* Tests for the tracing facility: histogram math, slice bookkeeping,
-   Chrome trace_event export round-tripped through the JSON parser, and
+(* Tests for the tracing facility: slice bookkeeping and its latency
+   sketches, Chrome trace_event export round-tripped through the JSON
+   parser (alone and sharing one file with the causal span trees), and
    the zero-overhead-when-disabled invariant. *)
 
 open Fbufs_sim
 open Fbufs
 module Trace = Fbufs_trace.Trace
-module Histogram = Fbufs_trace.Histogram
+module Sketch = Fbufs_trace.Sketch
 module Json = Fbufs_trace.Json
 module Chrome = Fbufs_trace.Chrome
 module Testbed = Fbufs_harness.Testbed
@@ -14,70 +15,6 @@ module Osiris = Fbufs_netdev.Osiris
 module Testproto = Fbufs_protocols.Testproto
 
 let check = Alcotest.check
-
-(* ------------------------------------------------------------------ *)
-(* Histogram                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_hist_exact_extrema () =
-  let h = Histogram.create () in
-  List.iter (Histogram.add h) [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 ];
-  check Alcotest.int "count" 8 (Histogram.count h);
-  check (Alcotest.float 1e-9) "sum" 31.0 (Histogram.sum h);
-  check (Alcotest.float 1e-9) "min" 1.0 (Histogram.min_value h);
-  check (Alcotest.float 1e-9) "max" 9.0 (Histogram.max_value h)
-
-let test_hist_percentiles_known_inputs () =
-  let h = Histogram.create () in
-  for i = 1 to 100 do
-    Histogram.add h (float_of_int i)
-  done;
-  (* Buckets grow by 2^(1/8) (~9%); a reported percentile is an upper
-     bound within one bucket of the true order statistic. *)
-  let assert_close p truth =
-    let v = Histogram.percentile h p in
-    let name = Printf.sprintf "p%g in [truth, truth*1.09]" p in
-    Alcotest.(check bool) name true (v >= truth && v <= truth *. 1.09)
-  in
-  assert_close 50.0 50.0;
-  assert_close 90.0 90.0;
-  assert_close 99.0 99.0;
-  check (Alcotest.float 1e-9) "p100 is exact max" 100.0
-    (Histogram.percentile h 100.0);
-  check (Alcotest.float 1e-9) "p0 is exact min" 1.0
-    (Histogram.percentile h 0.0)
-
-let test_hist_single_sample () =
-  let h = Histogram.create () in
-  Histogram.add h 42.0;
-  List.iter
-    (fun p ->
-      check (Alcotest.float 1e-9)
-        (Printf.sprintf "p%g of single sample" p)
-        42.0
-        (Histogram.percentile h p))
-    [ 0.0; 50.0; 99.0; 100.0 ]
-
-let test_hist_empty_and_zero () =
-  let h = Histogram.create () in
-  check (Alcotest.float 1e-9) "empty percentile" 0.0
-    (Histogram.percentile h 50.0);
-  check (Alcotest.float 1e-9) "empty mean" 0.0 (Histogram.mean h);
-  Histogram.add h 0.0;
-  Histogram.add h (-3.0) (* clamped to zero *);
-  check Alcotest.int "zero samples counted" 2 (Histogram.count h);
-  check (Alcotest.float 1e-9) "all-zero percentile" 0.0
-    (Histogram.percentile h 99.0)
-
-let test_hist_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  List.iter (Histogram.add a) [ 1.0; 2.0 ];
-  List.iter (Histogram.add b) [ 100.0 ];
-  let m = Histogram.merge a b in
-  check Alcotest.int "merged count" 3 (Histogram.count m);
-  check (Alcotest.float 1e-9) "merged min" 1.0 (Histogram.min_value m);
-  check (Alcotest.float 1e-9) "merged max" 100.0 (Histogram.max_value m);
-  check Alcotest.int "merge does not mutate" 2 (Histogram.count a)
 
 (* ------------------------------------------------------------------ *)
 (* Slices and event bookkeeping                                        *)
@@ -92,8 +29,13 @@ let test_capacity_drops_events_not_samples () =
   done;
   check Alcotest.int "buffer capped" 2 (Trace.event_count tr);
   check Alcotest.int "drops counted" 8 (Trace.dropped tr);
-  let h = List.assoc "op" (Trace.kind_summary tr) in
-  check Alcotest.int "histogram saw every sample" 10 (Histogram.count h)
+  let samples =
+    List.fold_left
+      (fun acc ((kind, _), sk) ->
+        if kind = "op" then acc + Sketch.count sk else acc)
+      0 (Trace.summary tr)
+  in
+  check Alcotest.int "latency sketches saw every sample" 10 samples
 
 let test_machine_trace_complete () =
   let m = Machine.create ~name:"host" () in
@@ -113,9 +55,9 @@ let test_machine_trace_complete () =
       check (Alcotest.float 1e-9) "slice covers the charges since" 6.5 dur;
       check Alcotest.int "slice keeps its path" 3 path_id
   | _ -> Alcotest.fail "trace_complete emitted no trailing slice");
-  let h = List.assoc ("work", 3) (Trace.summary tr) in
-  check Alcotest.int "one latency sample" 1 (Histogram.count h);
-  check (Alcotest.float 1e-9) "sample is the slice" 6.5 (Histogram.max_value h)
+  let sk = List.assoc ("work", 3) (Trace.summary tr) in
+  check Alcotest.int "one latency sample" 1 (Sketch.count sk);
+  check (Alcotest.float 1e-9) "sample is the slice" 6.5 (Sketch.max_value sk)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export round trip                                            *)
@@ -208,6 +150,85 @@ let test_jsonl_lines_parse () =
       check Alcotest.int "one line per buffered event" (Trace.event_count tr)
         !lines)
 
+(* A run with both a trace sink and a causal span sink, through the same
+   harness entry point as [fbufs_cli trace --trace F --spans S]: the one
+   Chrome file holds the trace's instants and slices, the span slices and
+   their flow arrows, with one pid per machine shared by both kinds of
+   event and a named thread for every lane in use. *)
+let test_trace_and_spans_one_file () =
+  let chrome = Filename.temp_file "fbufs_trace" ".json" in
+  let spans = Filename.temp_file "fbufs_spans" ".jsonl" in
+  let parsed =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove chrome;
+        Sys.remove spans)
+      (fun () ->
+        Fbufs_harness.Tracing.run_workload ~bytes:16384 ~window:4 ~nmsgs:4
+          ~chrome ~spans ();
+        Json.parse (In_channel.with_open_bin chrome In_channel.input_all))
+  in
+  let events =
+    match Json.member "traceEvents" parsed with
+    | Some (Json.List evs) -> evs
+    | _ -> Alcotest.fail "traceEvents missing or not a list"
+  in
+  let str name ev =
+    match Json.member name ev with Some (Json.String s) -> s | _ -> ""
+  in
+  let int name ev =
+    match Json.member name ev with Some (Json.Int i) -> i | _ -> -1
+  in
+  (* Trace events carry no [cat]; spans are "span", arrows "flow". *)
+  let source ev = if str "ph" ev = "M" then "meta" else str "cat" ev in
+  let has what src ph =
+    Alcotest.(check bool) what true
+      (List.exists (fun ev -> source ev = src && str "ph" ev = ph) events)
+  in
+  has "trace instants" "" "i";
+  has "trace slices" "" "X";
+  has "span slices" "span" "X";
+  has "flow starts" "flow" "s";
+  has "flow ends" "flow" "f";
+  let meta name = List.filter (fun ev -> str "name" ev = name) events in
+  let procs =
+    List.map
+      (fun ev ->
+        let machine =
+          match Json.member "args" ev with
+          | Some args -> str "name" args
+          | None -> ""
+        in
+        (machine, int "pid" ev))
+      (meta "process_name")
+  in
+  let machines = List.map fst procs in
+  check
+    Alcotest.(list string)
+    "one process_name per machine"
+    (List.sort_uniq compare machines)
+    (List.sort compare machines);
+  List.iter
+    (fun machine ->
+      let pid = Option.value ~default:(-1) (List.assoc_opt machine procs) in
+      let on_pid src =
+        List.exists (fun ev -> int "pid" ev = pid && source ev = src) events
+      in
+      Alcotest.(check bool)
+        (machine ^ ": trace and span events share its pid")
+        true
+        (on_pid "" && on_pid "span"))
+    [ "tx"; "rx" ];
+  let named =
+    List.map (fun ev -> (int "pid" ev, int "tid" ev)) (meta "thread_name")
+  in
+  List.iter
+    (fun ev ->
+      let pid = int "pid" ev and tid = int "tid" ev in
+      if source ev <> "meta" && not (List.mem (pid, tid) named) then
+        Alcotest.failf "lane (%d, %d) has no thread_name" pid tid)
+    events
+
 (* ------------------------------------------------------------------ *)
 (* Two hosts                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -266,8 +287,8 @@ let test_fbuf_life_per_last_free () =
   in
   let lives =
     List.fold_left
-      (fun acc ((kind, _), h) ->
-        if kind = "fbuf.life" then acc + Histogram.count h else acc)
+      (fun acc ((kind, _), sk) ->
+        if kind = "fbuf.life" then acc + Sketch.count sk else acc)
       0 (Trace.summary tr)
   in
   Alcotest.(check bool) "both hosts freed buffers" true (last_frees > 0);
@@ -340,15 +361,6 @@ let test_disabled_tracing_is_invisible () =
 let () =
   Alcotest.run "trace"
     [
-      ( "histogram",
-        [
-          Alcotest.test_case "exact extrema" `Quick test_hist_exact_extrema;
-          Alcotest.test_case "percentiles on known inputs" `Quick
-            test_hist_percentiles_known_inputs;
-          Alcotest.test_case "single sample" `Quick test_hist_single_sample;
-          Alcotest.test_case "empty and zero" `Quick test_hist_empty_and_zero;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
-        ] );
       ( "spans",
         [
           Alcotest.test_case "capacity drops events not samples" `Quick
@@ -362,6 +374,8 @@ let () =
         [
           Alcotest.test_case "json round trip" `Quick test_chrome_json_roundtrip;
           Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
+          Alcotest.test_case "trace and spans share one file" `Quick
+            test_trace_and_spans_one_file;
         ] );
       ( "zero-overhead",
         [
