@@ -31,10 +31,10 @@ bench:
 
 # Full-quota benchmark run that also writes the machine-readable
 # trajectory (one JSON object per benchmark: name, ns_per_run, r_square,
-# date). BENCH_PR10.json is the latest committed snapshot; bench-trend
-# gates it against BENCH_PR8.json and against the whole series.
+# date). BENCH_PR17.json is the latest committed snapshot; bench-trend
+# gates it against BENCH_PR16.json, its same-host predecessor.
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR10.json
+	dune exec bench/main.exe -- --json BENCH_PR17.json
 
 # Per-component cost attribution of a Table 1 run (simulated
 # microseconds charged to alloc/map/unmap/tlb_flush/zero/secure/copy/...),
@@ -49,17 +49,20 @@ stats:
 spans:
 	dune exec bin/fbufs_cli.exe -- spans --out spans.jsonl --chrome spans-chrome.json
 
-# The bench-trajectory gate, run twice over committed snapshots (all
-# collected on the same machine with make bench-json, so deltas are
-# meaningful; 50% tolerance absorbs scheduler noise on ~ms runs). First
-# the latest snapshot against the previous one: on two snapshots the
-# gate is a pairwise diff. Then every snapshot in chronological order,
+# The bench-trajectory gate over committed snapshots (50% tolerance
+# absorbs scheduler noise on ~ms runs). First pairwise diffs of
+# snapshots collected on one host with make bench-json: PR8 against
+# PR10, and PR16 (the parent of PR17) against PR17, measured alternately
+# in one session. Then the PR2-PR10 series in chronological order,
 # per-benchmark OLS slope and two-segment changepoint, to catch a slow
-# drift no single step shows. Fails when a benchmark's post-changepoint
-# mean exceeds its pre-changepoint mean by more than tolerance, or a
-# benchmark disappears from the latest snapshot.
+# drift no single step shows; PR16 and PR17 come from another host and
+# stay out of that series until snapshots are normalized across hosts.
+# Fails when a benchmark's post-changepoint mean exceeds its
+# pre-changepoint mean by more than tolerance, or a benchmark disappears
+# from the latest snapshot.
 bench-trend:
 	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR8.json BENCH_PR10.json --tolerance-pct 50
+	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR16.json BENCH_PR17.json --tolerance-pct 50
 	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR2.json BENCH_PR4.json \
 	  BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json \
 	  BENCH_PR10.json --tolerance-pct 50 --json bench-trend.json

@@ -138,10 +138,7 @@ let dump_on_exit_flag =
   in
   Arg.(value & flag & info [ "dump-on-exit" ] ~doc)
 
-(* Recorder arming sits innermost so it can tap sinks the outer wrappers
-   installed (or install its own ring when a layer is absent); machines
-   are created inside [f], after the monitors' sequence-point hook is in
-   place. *)
+(* The recorder and the monitors observe every machine [f] creates. *)
 let with_recorder ?dir ~dump_on_exit f =
   match (dir, dump_on_exit) with
   | None, false -> f ()
@@ -157,16 +154,15 @@ let with_recorder ?dir ~dump_on_exit f =
       let r = O.Recorder.create config in
       let mon = O.Monitor.create ~recorder:r O.Monitor.default in
       O.Recorder.with_armed r (fun () ->
-          O.Monitor.with_installed mon (fun () ->
+          Fbufs_sim.Machine.with_probe (O.Monitor.probe mon) (fun () ->
               let x = f () in
               if dump_on_exit then
                 ignore (O.Recorder.trigger ~force:true r ~reason:"exit");
               x))
 
-(* Wrap an experiment term so tracing, metering and span recording cover
-   exactly its run. Spans sit inside metrics so their post-run export can
-   observe transfer walls into the still-installed metrics instance, and
-   the trace inside spans so its Chrome file also carries the span trees. *)
+(* Wrap an experiment term so tracing, metering, span recording and the
+   flight recorder cover exactly its run. Each wrapper observes through
+   its own probe; the nesting decides only the order of the notes. *)
 let traced term =
   let wrap chrome jsonl metrics spans record dump_on_exit f =
     H.Metrics_run.with_metrics ?file:metrics (fun () ->
@@ -204,29 +200,30 @@ let config_conv =
   let print ppf c = Format.pp_print_string ppf (H.Exp_fig5.config_name c) in
   Arg.conv (parse, print)
 
+(* The workload arguments [trace] and [spans] share. *)
+let config_arg =
+  let doc = "Topology: kernel-kernel, user-user or user-netserver-user." in
+  Arg.(
+    value
+    & opt config_conv H.Exp_fig5.User_user
+    & info [ "config" ] ~doc ~docv:"CONFIG")
+
+let uncached_arg =
+  let doc = "Use uncached, non-volatile fbufs (the Figure 6 regime)." in
+  Arg.(value & flag & info [ "uncached" ] ~doc)
+
+let pdu_size_arg =
+  let doc = "IP PDU size in bytes." in
+  Arg.(value & opt (some int) None & info [ "pdu-size" ] ~doc ~docv:"N")
+
 let trace_cmd =
-  let config =
-    let doc = "Topology: kernel-kernel, user-user or user-netserver-user." in
-    Arg.(
-      value
-      & opt config_conv H.Exp_fig5.User_user
-      & info [ "config" ] ~doc ~docv:"CONFIG")
-  in
   let bytes =
     let doc = "Message size in bytes." in
     Arg.(value & opt int 65536 & info [ "bytes" ] ~doc ~docv:"N")
   in
-  let uncached =
-    let doc = "Use uncached, non-volatile fbufs (the Figure 6 regime)." in
-    Arg.(value & flag & info [ "uncached" ] ~doc)
-  in
   let window =
     let doc = "Sliding-window size (messages in flight)." in
     Arg.(value & opt (some int) None & info [ "window" ] ~doc ~docv:"N")
-  in
-  let pdu_size =
-    let doc = "IP PDU size in bytes." in
-    Arg.(value & opt (some int) None & info [ "pdu-size" ] ~doc ~docv:"N")
   in
   let nmsgs =
     let doc = "Number of messages (default scales with size)." in
@@ -252,17 +249,10 @@ let trace_cmd =
           timeline plus a per-path latency summary; combine with \
           --metrics and --spans to meter the same single run")
     Term.(
-      const run $ config $ bytes $ uncached $ window $ pdu_size $ nmsgs $ out
-      $ jsonl_file $ metrics_file $ spans_file)
+      const run $ config_arg $ bytes $ uncached_arg $ window $ pdu_size_arg
+      $ nmsgs $ out $ jsonl_file $ metrics_file $ spans_file)
 
 let spans_cmd =
-  let config =
-    let doc = "Topology: kernel-kernel, user-user or user-netserver-user." in
-    Arg.(
-      value
-      & opt config_conv H.Exp_fig5.User_user
-      & info [ "config" ] ~doc ~docv:"CONFIG")
-  in
   (* Defaults kept small and fixed so the report is deterministic and
      readable: 4 messages of 16 KB with a window of 4 exercises
      pipelining (follows-from edges between transfers) without drowning
@@ -271,17 +261,9 @@ let spans_cmd =
     let doc = "Message size in bytes." in
     Arg.(value & opt int 16384 & info [ "bytes" ] ~doc ~docv:"N")
   in
-  let uncached =
-    let doc = "Use uncached, non-volatile fbufs (the Figure 6 regime)." in
-    Arg.(value & flag & info [ "uncached" ] ~doc)
-  in
   let window =
     let doc = "Sliding-window size (messages in flight)." in
     Arg.(value & opt int 4 & info [ "window" ] ~doc ~docv:"N")
-  in
-  let pdu_size =
-    let doc = "IP PDU size in bytes." in
-    Arg.(value & opt (some int) None & info [ "pdu-size" ] ~doc ~docv:"N")
   in
   let nmsgs =
     let doc = "Number of messages." in
@@ -315,8 +297,8 @@ let spans_cmd =
           charge) and the slack of off-path work; --metrics additionally \
           feeds per-transfer walls into a mergeable quantile sketch")
     Term.(
-      const run $ config $ bytes $ uncached $ window $ pdu_size $ nmsgs $ out
-      $ chrome $ metrics_file $ top)
+      const run $ config_arg $ bytes $ uncached_arg $ window $ pdu_size_arg
+      $ nmsgs $ out $ chrome $ metrics_file $ top)
 
 let check_cmd =
   let seeds =
@@ -552,36 +534,12 @@ let run_experiment experiment zero =
   | `All -> all zero
 
 (* [stats --watch] and [top] share this: a Top renderer driven by the
-   machine tick hook, framing at fixed simulated intervals. *)
+   machines' clock ticks, framing at fixed simulated intervals. *)
 let with_top ~interval_us f =
-  let own_mx, metrics =
-    match !Fbufs_sim.Machine.default_metrics with
-    | Some mx -> (false, mx)
-    | None ->
-        let mx = Fbufs_metrics.Metrics.create () in
-        Fbufs_sim.Machine.default_metrics := Some mx;
-        (true, mx)
-  in
-  let own_spans, sink =
-    match !Fbufs_sim.Machine.default_spans with
-    | Some s -> (false, s)
-    | None ->
-        let s = Fbufs_span.Span.create () in
-        Fbufs_sim.Machine.default_spans := Some s;
-        (true, s)
-  in
-  let top = Fbufs_obs.Top.create ~interval_us ~metrics () in
-  Fun.protect
-    ~finally:(fun () ->
-      if own_mx then Fbufs_sim.Machine.default_metrics := None;
-      if own_spans then Fbufs_sim.Machine.default_spans := None)
-    (fun () ->
-      let r = Fbufs_obs.Top.with_installed top f in
-      (* With our own span sink, fold wall times into the sketch so the
-         closing frame can print transfer quantiles. *)
-      if own_spans then H.Spans_run.roll_transfer_walls metrics sink;
-      Fbufs_obs.Top.final top;
-      r)
+  let top = Fbufs_obs.Top.create ~interval_us () in
+  let r = Fbufs_sim.Machine.with_probe (Fbufs_obs.Top.probe top) f in
+  Fbufs_obs.Top.final top;
+  r
 
 let stats_cmd =
   let folded =
@@ -627,8 +585,11 @@ let top_cmd =
   in
   let run experiment zero no_elision interval =
     with_elision no_elision (fun () ->
-        with_top ~interval_us:interval (fun () ->
-            run_experiment experiment zero))
+        Fbufs_sim.Machine.with_probe
+          Fbufs_metrics.Metrics.(probe (create ()))
+          (fun () ->
+            with_top ~interval_us:interval (fun () ->
+                run_experiment experiment zero)))
   in
   Cmd.v
     (Cmd.info "top"

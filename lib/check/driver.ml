@@ -86,11 +86,14 @@ let audit_every = 25
 let policy_alpha = 0.004
 
 let make_state ~seed =
-  let tb = Testbed.create ~name:"fbufs-check" ~nframes ~seed () in
   (* Replays always record causal spans: the span sink is one more
      observable to diff (see [verify_spans]), and recording is passive —
      it never feeds back into the simulation. *)
-  Machine.set_spans tb.Testbed.m (Some (Fbufs_span.Span.create ()));
+  let spans = Fbufs_span.Span.(probe (create ())) in
+  let tb =
+    Machine.with_probe spans (fun () ->
+        Testbed.create ~name:"fbufs-check" ~nframes ~seed ())
+  in
   let a = Testbed.user_domain tb "dom_a" in
   let b = Testbed.user_domain tb "dom_b" in
   let c = Testbed.user_domain tb "dom_c" in
@@ -1138,21 +1141,19 @@ let exec st (op : Op.t) =
 
 (* -- metrics differential ----------------------------------------------- *)
 
-(* When the replay runs metered (an instance installed through
-   [Machine.default_metrics]), the registry is one more observable to
-   diff: allocation fast/slow-path counters against the model's own
-   predictions, the free-list and liveness gauges against the model
-   allocators, reclaim counts, and the ledger against the machine's busy
-   time. The ledger accumulates charges per machine in arrival order with
-   plain addition — exactly how [Machine.charge] grows [busy_us] — so on
-   this single-machine world the two floats must be bitwise equal, not
-   merely close. *)
+(* When the replay runs metered (a [Metrics.probe] installed around it),
+   the registry is one more observable to diff: allocation fast/slow-path
+   counters against the model's own predictions, the free-list and
+   liveness gauges against the model allocators, reclaim counts, and the
+   ledger against the machine's busy time. The metered machine's arrival
+   total adds its charges in arrival order with plain addition — exactly
+   how [Machine.charge] grows [busy_us] — so the two floats must be
+   bitwise equal, not merely close. *)
 let verify_metrics st =
-  match Machine.metrics st.m with
+  match Fbufs_metrics.Metrics.of_machine st.m with
   | None -> ()
   | Some mx ->
       let module Mx = Fbufs_metrics.Metrics in
-      let module Ledger = Fbufs_metrics.Ledger in
       let mach = st.m.Machine.name in
       let count name labels =
         match Mx.value_by_name mx ~name ~labels with
@@ -1217,7 +1218,7 @@ let verify_metrics st =
                     (count "fbufs_policy_threshold_pages" [ mach; path ])
                     thr)
         st.managed;
-      let charged = Ledger.charged_us (Mx.ledger mx) ~machine:mach in
+      let charged = Option.value ~default:0.0 (Mx.charged_us st.m) in
       let busy = Machine.busy_us st.m in
       if charged <> busy then
         fail "metrics: ledger charged %.17g us but machine busy %.17g us"
@@ -1256,7 +1257,7 @@ let op_label (op : Op.t) =
    most half a nanosecond per charge (plus one for the final float
    comparison). *)
 let verify_spans st =
-  match Machine.spans st.m with
+  match Fbufs_span.Span.of_machine st.m with
   | None -> ()
   | Some sink ->
       let module Span = Fbufs_span.Span in

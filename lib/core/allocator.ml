@@ -95,7 +95,7 @@ let path_labels t m = [ m.Machine.name; string_of_int t.path.Path.id ]
    after every state change, so they cannot drift from the allocator. *)
 let sync_gauges t =
   let m = Region.machine t.region in
-  match Machine.metrics m with
+  match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       let labels = path_labels t m in
@@ -104,7 +104,7 @@ let sync_gauges t =
 
 let note_class t npages delta =
   let m = Region.machine t.region in
-  match Machine.metrics m with
+  match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       Mx.add mx free_class
@@ -135,7 +135,7 @@ let parked_fbufs t =
 
 let clear_parked t =
   (let m = Region.machine t.region in
-   match Machine.metrics m with
+   match Mx.of_machine m with
    | None -> ()
    | Some mx ->
        Hashtbl.iter
@@ -373,7 +373,7 @@ let alloc t ~npages =
   fb.Fbuf.xfer <- Machine.current_transfer m;
   Fbuf.add_ref fb t.owner;
   t.live <- t.live + 1;
-  (match Machine.metrics m with
+  (match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       Mx.incr mx alloc_total
@@ -419,7 +419,7 @@ let reclaim t ?(older_than_us = 0.0) ~max_fbufs () =
       end)
     victims;
   let m = Region.machine t.region in
-  (match Machine.metrics m with
+  (match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       if take > 0 then
@@ -448,7 +448,7 @@ let reclaim_one t (fb : Fbuf.t) =
     fb.Fbuf.accounted <- false
   end;
   let m = Region.machine t.region in
-  (match Machine.metrics m with
+  (match Mx.of_machine m with
   | None -> ()
   | Some mx -> Mx.add mx reclaimed_total ~labels:(path_labels t m) 1.0);
   if Machine.tracing m then

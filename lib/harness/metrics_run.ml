@@ -40,19 +40,9 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let export mx path =
-  let contents =
-    if Filename.check_suffix path ".json" then Expo.to_json_string mx
-    else Expo.to_prometheus mx
-  in
+let export what path contents =
   match write_file path contents with
-  | () -> Printf.printf "metrics: exposition -> %s\n" path
-  | exception Sys_error msg ->
-      Printf.eprintf "metrics: cannot write %s: %s\n" path msg
-
-let export_folded mx path =
-  match write_file path (Ledger.collapsed (Mx.ledger mx)) with
-  | () -> Printf.printf "metrics: collapsed stacks -> %s\n" path
+  | () -> Printf.printf "metrics: %s -> %s\n" what path
   | exception Sys_error msg ->
       Printf.eprintf "metrics: cannot write %s: %s\n" path msg
 
@@ -61,14 +51,24 @@ let with_metrics ?file ?folded ?(summary = false) f =
   | None, None, false -> f ()
   | _ ->
       let mx = Mx.create () in
-      let saved = !Machine.default_metrics in
-      Machine.default_metrics := Some mx;
+      let spans = ref None in
       let result =
-        Fun.protect
-          ~finally:(fun () -> Machine.default_metrics := saved)
+        Machine.with_probe
+          (fun m -> Spans_run.noting_sink spans m (Mx.probe mx m))
           f
       in
-      Option.iter (export mx) file;
-      Option.iter (export_folded mx) folded;
+      (* When a causal span sink observed the same machines (nested
+         either way), its transfer walls join the exposition. *)
+      Option.iter (Spans_run.roll_transfer_walls mx) !spans;
+      Option.iter
+        (fun path ->
+          export "exposition" path
+            (if Filename.check_suffix path ".json" then Expo.to_json_string mx
+             else Expo.to_prometheus mx))
+        file;
+      Option.iter
+        (fun path ->
+          export "collapsed stacks" path (Ledger.collapsed (Mx.ledger mx)))
+        folded;
       if summary then print_breakdown mx;
       result

@@ -35,11 +35,8 @@ let fmt_us v =
   else if v >= 10.0 then Printf.sprintf "%.1f" v
   else Printf.sprintf "%.2f" v
 
-let print_trace_summary ?(min_count = 1) trace =
+let print_trace_summary trace =
   let rows = Fbufs_trace.Trace.summary trace in
-  let rows =
-    List.filter (fun (_, sk) -> Fbufs_trace.Sketch.count sk >= min_count) rows
-  in
   if rows <> [] then begin
     print_title "Trace summary: latency by event kind and path (us)";
     let header =

@@ -22,7 +22,7 @@ type series = { name : string; points : (int * float) list }
 val print_series_table : x_label:string -> series list -> unit
 (** Figures as aligned text tables: one row per x, one column per series. *)
 
-val print_trace_summary : ?min_count:int -> Fbufs_trace.Trace.t -> unit
+val print_trace_summary : Fbufs_trace.Trace.t -> unit
 (** Per-[(kind, path)] latency table (count, p50/p90/p99/max and total
-    simulated us) from the trace's online latency sketches. [min_count] hides
-    keys with fewer samples. Prints nothing for an event-free trace. *)
+    simulated us) from the trace's online latency sketches. Prints
+    nothing for an event-free trace. *)

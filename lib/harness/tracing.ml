@@ -6,49 +6,50 @@ module Span_export = Fbufs_span.Span_export
 (* Full experiment sweeps emit tens of millions of events; a bounded
    buffer keeps exports loadable in a viewer while the online latency
    sketches (fed before the capacity check) still see every slice. *)
-let default_capacity = 2_000_000
+let capacity = 2_000_000
 
 (* One Chrome file per run: the trace's events and, when a causal span
-   sink is installed around the trace, its span trees and flow arrows,
-   all on one lane table — one pid per machine for both kinds of event. *)
-let write_chrome tr path =
+   sink observed the same machines, its span trees and flow arrows, all
+   on one lane table — one pid per machine for both kinds of event.
+   Returns the number of events written. *)
+let write_chrome tr spans path =
   let lanes = Chrome.lanes () in
-  let events = Chrome.trace_events lanes tr in
-  let spans =
-    match !Machine.default_spans with
-    | None -> []
-    | Some sink -> Span_export.chrome_events lanes sink
+  let events =
+    Chrome.trace_events lanes tr
+    @ Option.fold ~none:[] ~some:(Span_export.chrome_events lanes) spans
   in
-  Chrome.write path
-    (Chrome.document lanes ~dropped:(Trace.dropped tr) (events @ spans))
+  Chrome.write path (Chrome.document lanes ~dropped:(Trace.dropped tr) events);
+  List.length events
 
-let with_trace ?chrome ?jsonl ?(summary = true) ?(capacity = default_capacity)
-    f =
+let with_trace ?chrome ?jsonl f =
   match (chrome, jsonl) with
   | None, None -> f ()
   | _ ->
       let tr = Trace.create ~capacity () in
-      let saved = !Machine.default_trace in
-      Machine.default_trace := Some tr;
+      let spans = ref None in
       let result =
-        Fun.protect
-          ~finally:(fun () -> Machine.default_trace := saved)
+        Machine.with_probe
+          (fun m -> Spans_run.noting_sink spans m (Trace.probe tr m))
           f
       in
       let write what writer path =
-        match writer tr path with
-        | () ->
-            Printf.printf "trace: %d events -> %s (%s)\n"
-              (Trace.event_count tr) path what
+        match writer path with
+        | n -> Printf.printf "trace: %d events -> %s (%s)\n" n path what
         | exception Sys_error msg ->
             Printf.eprintf "trace: cannot write %s: %s\n" path msg
       in
-      Option.iter (write "chrome://tracing, Perfetto" write_chrome) chrome;
-      Option.iter (write "jsonl" Chrome.write_jsonl) jsonl;
+      Option.iter
+        (write "chrome://tracing, Perfetto" (write_chrome tr !spans))
+        chrome;
+      Option.iter
+        (write "jsonl" (fun path ->
+             Chrome.write_jsonl tr path;
+             Trace.event_count tr))
+        jsonl;
       if Trace.dropped tr > 0 then
         Printf.printf "trace: %d events dropped (buffer capacity)\n"
           (Trace.dropped tr);
-      if summary then Report.print_trace_summary tr;
+      Report.print_trace_summary tr;
       result
 
 let run_workload ?(config = Exp_fig5.User_user) ?(bytes = 65536)
@@ -60,10 +61,6 @@ let run_workload ?(config = Exp_fig5.User_user) ?(bytes = 65536)
        (Exp_fig5.config_name config)
        (if uncached then "uncached" else "cached/volatile")
        bytes);
-  (* Nesting order matters: spans inside metrics, so their post-run
-     export still sees the metrics instance and can observe transfer walls
-     into the [fbufs_transfer_wall_us] sketch; the trace inside spans, so
-     its Chrome export still sees the span sink and carries its trees. *)
   Metrics_run.with_metrics ?file:metrics (fun () ->
       Spans_run.with_causal_spans ?jsonl:spans ?chrome:spans_chrome
         ~summary:spans_summary ?top (fun () ->

@@ -1,29 +1,22 @@
 (** Harness-side tracing glue.
 
     The experiment drivers build their own testbeds, so tracing is enabled
-    by installing a sink in {!Fbufs_sim.Machine.default_trace} for the
-    duration of a run: every machine created inside picks it up. With no
+    by installing a trace probe ({!Fbufs_sim.Machine.with_probe}) for the
+    duration of a run: every machine created inside is observed. With no
     output file requested nothing is installed and the run is untouched —
     report output is byte-identical to an untraced run. *)
 
-val with_trace :
-  ?chrome:string ->
-  ?jsonl:string ->
-  ?summary:bool ->
-  ?capacity:int ->
-  (unit -> 'a) ->
-  'a
+val with_trace : ?chrome:string -> ?jsonl:string -> (unit -> 'a) -> 'a
 (** [with_trace ?chrome ?jsonl f] runs [f]; when at least one output file
     is given, machines created during the run share one fresh trace sink,
     and afterwards the Chrome JSON and/or JSONL exports are written, the
-    per-path latency summary is printed ([summary] defaults to [true]),
-    and a one-line note says where the trace went. The previous
-    [default_trace] is restored even if [f] raises. When a causal span
-    sink is installed around the call ({!Spans_run.with_causal_spans}),
+    per-path latency summary is printed, and a one-line note per file
+    says how many events it holds. When a causal span sink observed the
+    same machines ({!Spans_run.with_causal_spans}, nested either way),
     the Chrome file also carries its span trees and flow arrows on the
-    same lanes. [capacity] bounds the
-    buffered event count (default 2M — full sweeps emit far more; dropped
-    events are reported, and the latency summary still covers them). *)
+    same lanes. The buffer holds at most 2M events (full sweeps emit far
+    more; dropped events are reported, and the latency summary still
+    covers them). *)
 
 val run_workload :
   ?config:Exp_fig5.config ->

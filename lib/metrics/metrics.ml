@@ -179,3 +179,37 @@ let samples t =
          match compare a.def.id b.def.id with
          | 0 -> compare a.labels b.labels
          | c -> c)
+
+(* -- observing machines -------------------------------------------------- *)
+
+module Machine = Fbufs_sim.Machine
+
+(* A metered machine carries the instance and its own arrival total of
+   charges: the ledger's per-name total merges machines that share a
+   name. *)
+type Fbufs_sim.Observer.sink += Metered of t * Machine.busy
+
+let probe t (m : Machine.t) =
+  let machine = m.Machine.name and stats = m.Machine.stats in
+  add_events t ~machine (fun () -> Fbufs_sim.Stats.to_list stats);
+  let charged = { Machine.busy_us = 0.0 } in
+  {
+    Fbufs_sim.Observer.nop with
+    sinks = [ Metered (t, charged) ];
+    charge =
+      (fun kind comp us ->
+        Ledger.charge t.ledger ~machine
+          ~comp:(Option.value comp ~default:Component.Other)
+          ~kind:(Option.value kind ~default:"")
+          us;
+        charged.busy_us <- charged.busy_us +. us);
+  }
+
+let metered (m : Machine.t) =
+  match m.obs.sinks with
+  | [] -> None
+  | sinks ->
+      List.find_map (function Metered (t, c) -> Some (t, c) | _ -> None) sinks
+
+let of_machine m = Option.map fst (metered m)
+let charged_us m = Option.map (fun (_, c) -> c.Machine.busy_us) (metered m)

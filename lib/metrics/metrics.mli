@@ -2,12 +2,13 @@
 
     Metric {e definitions} (name, help, label names, kind) are global and
     registered once at module-initialization time; {e values} live in
-    per-run instances ({!t}). Instrumented code guards every update on the
-    machine carrying an instance, so a run without one pays nothing —
+    per-run instances ({!t}). A run is metered by installing {!probe};
+    instrumented code guards every update on the machine carrying an
+    instance ({!of_machine}), so a run without one pays nothing —
     "disabled" is the absence of the instance, not a branch per sample.
     Plain machine events (pmap ops, TLB misses, sends, PDUs, ...) are not
     registry families: they are counted once in each machine's [Stats]
-    table, which an instance reads through {!add_events}.
+    table, which an instance reads ({!events}).
 
     Definition names must match [fbufs_[a-z0-9_]+] and be unique; the
     lint rule L6 additionally checks, statically, that registrations use
@@ -51,17 +52,11 @@ val create : unit -> t
 val ledger : t -> Ledger.t
 (** The cost-attribution ledger carried alongside the counters. *)
 
-val add_events :
-  t -> machine:string -> (unit -> (string * float) list) -> unit
-(** Attach a machine's event table: [read ()] returns its current
-    counters as [(event, value)] pairs. A metered machine attaches its
-    own table when it is created, so machine events are counted once,
-    there, and the instance only reads them (exposed as
-    [fbufs_events_total{machine,event}]). *)
-
 val events : t -> ((string * string) * float) list
-(** Every attached table read now, summed per [(machine, event)] —
-    machines with the same name merge — and sorted. *)
+(** Every metered machine's [Stats] table read now (each machine attaches
+    its own when {!probe} meters it, so machine events are counted once,
+    there), summed per [(machine, event)] — machines with the same name
+    merge — and sorted. *)
 
 val incr : t -> def -> ?labels:string list -> unit -> unit
 val add : t -> def -> ?labels:string list -> float -> unit
@@ -94,3 +89,20 @@ type sample = {
 
 val samples : t -> sample list
 (** Every touched cell, sorted by definition id then labels. *)
+
+(** {1 Observing machines} *)
+
+val probe : t -> Fbufs_sim.Machine.probe
+(** Meter machines into this instance: each attaches its [Stats] table
+    when it is created, and every charge lands in the {!ledger} under its
+    component ([Other] when untagged) and kind ([""] when untyped). *)
+
+val of_machine : Fbufs_sim.Machine.t -> t option
+(** The instance metering a machine (the outermost if several do), which
+    the registry families update; [None] on an unmetered machine. *)
+
+val charged_us : Fbufs_sim.Machine.t -> float option
+(** The charges that instance received from this one machine, added in
+    arrival order like the machine's busy time, so equal to
+    [Fbufs_sim.Machine.busy_us] bitwise; unlike {!Ledger.charged_us},
+    machines that share a name are not merged. *)

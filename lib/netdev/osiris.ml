@@ -12,7 +12,7 @@ let net_pdu_bytes =
 (* PDU counts live in [Stats] (osiris.tx_pdu / rx_pdu / pdu_dropped);
    only the size distribution needs the registry. *)
 let observe_pdu_bytes m dir len =
-  match Machine.metrics m with
+  match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       Mx.observe mx net_pdu_bytes ~labels:[ m.Machine.name; dir ]

@@ -1,6 +1,5 @@
 module Machine = Fbufs_sim.Machine
 module Mx = Fbufs_metrics.Metrics
-module Ledger = Fbufs_metrics.Ledger
 
 type config = {
   budget : int;
@@ -56,7 +55,7 @@ let violate t m rule fmt =
       t.violation_count <- t.violation_count + 1;
       if List.length t.violations < t.config.max_violations then
         t.violations <- (rule_name rule, msg) :: t.violations;
-      (match Machine.metrics m with
+      (match Mx.of_machine m with
       | Some mx -> Mx.incr mx violations_total ~labels:[ rule_name rule ] ()
       | None -> ());
       match t.recorder with
@@ -74,11 +73,13 @@ let violate t m rule fmt =
 
 (* -- rules --------------------------------------------------------------- *)
 
+(* The machine's own arrival total, not the ledger's per-name one: runs
+   that build many machines under one name (Table 1's testbeds are all
+   "host") merge those in the ledger. *)
 let check_ledger t m =
-  match Machine.metrics m with
+  match Mx.charged_us m with
   | None -> ()
-  | Some mx ->
-      let charged = Ledger.charged_us (Mx.ledger mx) ~machine:m.Machine.name in
+  | Some charged ->
       let busy = Machine.busy_us m in
       if Float.abs (charged -. busy) > 1e-6 then
         violate t m Ledger_rule
@@ -86,7 +87,7 @@ let check_ledger t m =
           m.Machine.name charged busy
 
 let check_gauges t m =
-  match Machine.metrics m with
+  match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       let held =
@@ -112,7 +113,7 @@ let check_gauges t m =
         held
 
 let check_drop_spike t m =
-  match Machine.metrics m with
+  match Mx.of_machine m with
   | None -> ()
   | Some mx ->
       let total = Mx.total_by_name mx ~name:"fbufs_policy_dropped_total" in
@@ -136,19 +137,14 @@ let hook t m _site =
   check_drop_spike t m;
   let rule = rules.(t.rule_idx mod Array.length rules) in
   t.rule_idx <- (t.rule_idx + 1) mod Array.length rules;
-  (match Machine.metrics m with
+  (match Mx.of_machine m with
   | Some mx -> Mx.incr mx checks_total ~labels:[ rule_name rule ] ()
   | None -> ());
   match rule with
   | Ledger_rule -> check_ledger t m
   | Gauge -> check_gauges t m
 
-let install t = Machine.default_seq_hook := Some (hook t)
-let uninstall _t = Machine.default_seq_hook := None
-
-let with_installed t f =
-  install t;
-  Fun.protect ~finally:(fun () -> uninstall t) f
+let probe t m = { Fbufs_sim.Observer.nop with seq_point = hook t m }
 
 let violations t = List.rev t.violations
 let violation_count t = t.violation_count

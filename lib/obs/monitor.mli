@@ -10,8 +10,9 @@
     output.
 
     Rules:
-    - [ledger]: the cost ledger's arrival total for the machine equals
-      [Machine.busy_us] — attribution is complete (metered runs);
+    - [ledger]: the metering instance's arrival total for the machine
+      ({!Fbufs_metrics.Metrics.charged_us}) equals [Machine.busy_us] —
+      attribution is complete (metered runs);
     - [gauge]: policy held-pages gauges do not exceed their threshold
       gauge by more than [grace] pages (metered runs).
 
@@ -36,16 +37,9 @@ type t
 
 val create : ?recorder:Recorder.t -> config -> t
 
-val hook : t -> Fbufs_sim.Machine.t -> string -> unit
-(** The sequence-point callback {!install} sets. *)
-
-val install : t -> unit
-(** Install {!hook} as [Machine.default_seq_hook] (picked up by machines
-    created afterwards). *)
-
-val uninstall : t -> unit
-
-val with_installed : t -> (unit -> 'a) -> 'a
+val probe : t -> Fbufs_sim.Machine.probe
+(** Check the rules at every sequence point of the machines it observes
+    (install with [Fbufs_sim.Machine.with_probe]). *)
 
 val violations : t -> (string * string) list
 (** Retained [(rule, message)] pairs, oldest first, capped at

@@ -20,8 +20,8 @@ type config = {
          alone. The recorder's churn — event records on the slow paths,
          boxed floats at emission calls — otherwise raises the minor-GC
          rate of the host run; a pre-sized nursery absorbs it the same
-         way flight recorders pre-size their arenas. Restored on
-         disarm. *)
+         way flight recorders pre-size their arenas. Restored when the
+         armed bracket ends. *)
 }
 
 let default =
@@ -52,62 +52,32 @@ type t = {
   head : Sample.Head.t;
   res : Trace.event Sample.Reservoir.t;
   roots : Span.transfer Ring.t;
-  mutable trace : Trace.t option;  (* sink being tapped while armed *)
-  mutable spans : Span.t option;
-  mutable own_trace : bool;  (* we installed the default; uninstall on disarm *)
-  mutable own_spans : bool;
+  trace : Trace.t;  (* recent-event ring *)
+  spans : Span.t;  (* lossy: unsampled and evicted transfers are forgotten *)
+  mutable metrics : Mx.t option;  (* the observed machines' instance *)
   mutable armed : bool;
   mutable last_ts : float; (* span-side; merge with the trace via [last_ts t] *)
-  mutable seen0 : int; (* events already in the trace when we armed *)
   mutable roots_seen : int;
   mutable roots_kept : int;
   mutable dumps : int;
   mutable suppressed : int;
   mutable last_dump_ts : float;
-  mutable saved_minor : int; (* nursery size to restore on disarm; 0 = none *)
 }
-
-let create config =
-  {
-    config;
-    head = Sample.Head.create ~seed:config.seed ~denom:config.span_denom;
-    res = Sample.Reservoir.create ~seed:(config.seed + 1) ~k:config.reservoir;
-    roots = Ring.create ~capacity:config.span_capacity;
-    trace = None;
-    spans = None;
-    own_trace = false;
-    own_spans = false;
-    armed = false;
-    last_ts = 0.0;
-    seen0 = 0;
-    roots_seen = 0;
-    roots_kept = 0;
-    dumps = 0;
-    suppressed = 0;
-    last_dump_ts = Float.neg_infinity;
-    saved_minor = 0;
-  }
 
 (* Per-event work is a skip-budget decrement inside the trace (one
    float subtract + compare in the steady state); the event record is
    only materialized on reservoir acceptance. Counters and timestamps
    come from the trace itself, so the recorder adds no per-event
    bookkeeping of its own. *)
-let sampler t =
+let sampler res =
   {
     Trace.skip = [| 0.0 |];
-    accept = (fun ev w -> Sample.Reservoir.accept_weighted t.res ~weight:w ev);
+    accept = (fun ev w -> Sample.Reservoir.accept_weighted res ~weight:w ev);
   }
 
-let pushed tr = Trace.event_count tr + Trace.dropped tr
-
-let events_seen t =
-  match t.trace with Some tr -> pushed tr - t.seen0 | None -> 0
-
-let last_ts t =
-  match t.trace with
-  | Some tr -> Float.max t.last_ts (Trace.last_ts tr)
-  | None -> t.last_ts
+let events_seen t = Trace.event_count t.trace + Trace.dropped t.trace
+let last_ts t = Float.max t.last_ts (Trace.last_ts t.trace)
+let trace t = t.trace
 
 let root_path (tr : Span.transfer) =
   (* The root span was recorded first; [spans] is newest-first. *)
@@ -124,81 +94,71 @@ let span_tap t (tr : Span.transfer) =
   if keep then begin
     t.roots_kept <- t.roots_kept + 1;
     match Ring.push t.roots tr with
-    | Some evicted when t.own_spans -> (
-        match t.spans with
-        | Some s -> Span.forget s evicted.Span.tid
-        | None -> ())
-    | Some _ | None -> ()
-  end
-  else if t.own_spans then
-    match t.spans with Some s -> Span.forget s tr.Span.tid | None -> ()
-
-let arm t =
-  if not t.armed then begin
-    t.armed <- true;
-    (let cur = (Gc.get ()).Gc.minor_heap_size in
-     if t.config.gc_minor_words > cur then begin
-       t.saved_minor <- cur;
-       Gc.set { (Gc.get ()) with Gc.minor_heap_size = t.config.gc_minor_words }
-     end);
-    (match !Machine.default_trace with
-    | Some tr -> t.trace <- Some tr
-    | None ->
-        let tr =
-          Trace.create ~ring:true ~latency:false
-            ~capacity:t.config.event_capacity ()
-        in
-        t.trace <- Some tr;
-        t.own_trace <- true;
-        Machine.default_trace := Some tr);
-    (match t.trace with
-    | Some tr ->
-        t.seen0 <- pushed tr;
-        Trace.set_sampler tr (Some (sampler t))
-    | None -> ());
-    (match !Machine.default_spans with
-    | Some s -> t.spans <- Some s
-    | None ->
-        let s = Span.create () in
-        t.spans <- Some s;
-        t.own_spans <- true;
-        Machine.default_spans := Some s);
-    match t.spans with
-    | Some s -> Span.set_tap s (Some (span_tap t))
+    | Some evicted -> Span.forget t.spans evicted.Span.tid
     | None -> ()
   end
+  else Span.forget t.spans tr.Span.tid
 
-let disarm t =
-  if t.armed then begin
-    t.armed <- false;
-    if t.saved_minor > 0 then begin
-      Gc.set { (Gc.get ()) with Gc.minor_heap_size = t.saved_minor };
-      t.saved_minor <- 0
-    end;
-    (match t.trace with Some tr -> Trace.set_sampler tr None | None -> ());
-    (match t.spans with Some s -> Span.set_tap s None | None -> ());
-    if t.own_trace then Machine.default_trace := None;
-    if t.own_spans then Machine.default_spans := None;
-    t.own_trace <- false;
-    t.own_spans <- false
-  end
+let create config =
+  let res =
+    Sample.Reservoir.create ~seed:(config.seed + 1) ~k:config.reservoir
+  in
+  let trace =
+    Trace.create ~ring:true ~latency:false ~capacity:config.event_capacity ()
+  in
+  Trace.set_sampler trace (Some (sampler res));
+  let t =
+    {
+      config;
+      head = Sample.Head.create ~seed:config.seed ~denom:config.span_denom;
+      res;
+      roots = Ring.create ~capacity:config.span_capacity;
+      trace;
+      spans = Span.create ();
+      metrics = None;
+      armed = false;
+      last_ts = 0.0;
+      roots_seen = 0;
+      roots_kept = 0;
+      dumps = 0;
+      suppressed = 0;
+      last_dump_ts = Float.neg_infinity;
+    }
+  in
+  Span.set_tap t.spans (Some (span_tap t));
+  t
+
+(* The span sink drops transfers, so it records [Lossy] (ids come from a
+   complete sink when one observes the machine too) and stays out of the
+   machine's sinks, where exporters look. The metrics instance is looked
+   up on a tick, once the machine carries every observer; keeping the
+   machine instead would keep all of it alive past its run. *)
+let probe t m =
+  let tick () = if Option.is_none t.metrics then t.metrics <- Mx.of_machine m in
+  Fbufs_sim.Observer.(
+    both (Trace.probe t.trace m)
+      { (Span.probe t.spans m) with sinks = []; spans = Lossy; tick })
 
 let with_armed t f =
-  arm t;
-  Fun.protect ~finally:(fun () -> disarm t) f
+  if t.armed then f ()
+  else begin
+    t.armed <- true;
+    let nursery words = Gc.set { (Gc.get ()) with minor_heap_size = words } in
+    let saved = (Gc.get ()).minor_heap_size in
+    let grow = t.config.gc_minor_words > saved in
+    if grow then nursery t.config.gc_minor_words;
+    Fun.protect
+      ~finally:(fun () ->
+        t.armed <- false;
+        if grow then nursery saved)
+      (fun () -> Machine.with_probe (probe t) f)
+  end
 
 let note t ~kind ?(args = []) () =
   if t.armed then
-    match t.trace with
-    | Some tr ->
-        Trace.instant tr ~ts_us:(last_ts t) ~machine:"obs" ~args kind
-    | None -> ()
+    Trace.instant t.trace ~ts_us:(last_ts t) ~machine:"obs" ~args kind
 
 (* -- dumps -------------------------------------------------------------- *)
-
-let tail n l =
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
 
 let jsonl_of_events evs =
   let buf = Buffer.create 65536 in
@@ -225,16 +185,9 @@ let meta_json t ~reason =
     ]
 
 let render_dump t ~reason =
-  let events, chrome =
-    match t.trace with
-    | Some tr ->
-        ( jsonl_of_events (tail t.config.event_capacity (Trace.events tr)),
-          Chrome.to_string tr )
-    | None -> ("", "{\"traceEvents\":[]}")
-  in
   [
-    ("events.jsonl", events);
-    ("chrome.json", chrome);
+    ("events.jsonl", jsonl_of_events (Trace.events t.trace));
+    ("chrome.json", Chrome.to_string t.trace);
     ("sampled.jsonl", jsonl_of_events (Sample.Reservoir.items t.res));
     ("spans.jsonl", Span_export.jsonl_of_transfers (Ring.to_list t.roots));
     ("meta.json", Json.to_string (meta_json t ~reason));
@@ -259,9 +212,9 @@ let write_dump t ~reason =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc content))
     (render_dump t ~reason);
-  match !Machine.default_metrics with
-  | Some mx -> Mx.incr mx dumps_total ~labels:[ metric_label reason ] ()
-  | None -> ()
+  Option.iter
+    (fun mx -> Mx.incr mx dumps_total ~labels:[ metric_label reason ] ())
+    t.metrics
 
 let trigger ?(force = false) t ~reason =
   let allowed =
@@ -275,9 +228,9 @@ let trigger ?(force = false) t ~reason =
   end
   else begin
     t.suppressed <- t.suppressed + 1;
-    (match !Machine.default_metrics with
-    | Some mx -> Mx.incr mx suppressed_total ~labels:[ metric_label reason ] ()
-    | None -> ());
+    Option.iter
+      (fun mx -> Mx.incr mx suppressed_total ~labels:[ metric_label reason ] ())
+      t.metrics;
     false
   end
 

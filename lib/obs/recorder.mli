@@ -1,19 +1,17 @@
 (** The flight recorder: always-on, bounded-memory capture of recent
     history, dumped post-mortem when an anomaly fires.
 
-    Three stores, all bounded and all fed from the ordinary trace/span
-    sinks — the trace's sampling hook and the span sink's tap — so
-    recording shares the exporters and costs nothing when disarmed:
+    Three stores, all bounded and all fed by the recorder's own trace
+    and span sinks — the trace's sampling hook and the span sink's tap —
+    so recording shares the exporters and costs nothing when disarmed:
 
-    - a ring of the most recent trace events (the recorder installs its
-      own ring sink when the run has none; otherwise it taps the
-      existing sink and dumps that sink's tail),
+    - a ring of the most recent trace events,
     - a seeded weighted reservoir of events over the whole run
       (duration-biased, for long-horizon context the ring has already
       overwritten),
     - a ring of head-sampled span roots (whole completed transfers);
       evicted or unsampled transfers are {!Fbufs_span.Span.forget}ten
-      from a recorder-owned sink, bounding memory.
+      from the recorder's span sink, bounding memory.
 
     A {!trigger} is debounced (simulated-time window, lifetime dump cap)
     and writes one dump: recent events as JSONL and Chrome trace,
@@ -24,7 +22,7 @@
 
 type config = {
   seed : int;  (** sampling seed (head sampler and reservoir substreams) *)
-  event_capacity : int;  (** recent-event ring size (recorder-owned sink) *)
+  event_capacity : int;  (** recent-event ring size *)
   reservoir : int;  (** weighted reservoir size *)
   span_capacity : int;  (** sampled transfer-root ring size *)
   span_denom : int;  (** head-sample 1-in-[span_denom] paths *)
@@ -38,7 +36,7 @@ type config = {
           churn (slow-path event records, boxed floats at emission
           call sites) otherwise raises the host run's minor-GC rate,
           which is where an always-on tap would tax the workload.
-          Restored on {!disarm}. *)
+          Restored when {!with_armed} ends. *)
 }
 
 val default : config
@@ -50,17 +48,14 @@ type t
 
 val create : config -> t
 
-val arm : t -> unit
-(** Attach to the ambient sinks: taps an installed
-    [Machine.default_trace]/[default_spans] sink, or installs a
-    recorder-owned ring/sink when none is present (machines created
-    after [arm] pick it up). Re-arming is a no-op. *)
-
-val disarm : t -> unit
-(** Remove taps and uninstall any recorder-owned default sinks. *)
-
 val with_armed : t -> (unit -> 'a) -> 'a
-(** [arm], run, [disarm] (exceptions included). *)
+(** Run [f] with the recorder observing every machine created inside and
+    the nursery pre-sized, both until [f] ends (exceptions included);
+    re-arming inside is a no-op. Its span sink is lossy and private: it
+    records under a complete sink's ids and exporters never see it. *)
+
+val trace : t -> Fbufs_trace.Trace.t
+(** The recent-event ring. *)
 
 val note : t -> kind:string -> ?args:(string * Fbufs_trace.Trace.arg) list -> unit -> unit
 (** Stamp an instant event (at the last observed simulated time) into
@@ -72,16 +67,13 @@ val trigger : ?force:bool -> t -> reason:string -> bool
     Suppressed (returning [false]) while within [debounce_us] of the
     previous dump or past [max_dumps]; [~force:true] (the [--dump-on-exit]
     path) bypasses both. Counted in [fbufs_obs_dumps_total{reason}] /
-    [fbufs_obs_dump_suppressed_total{reason}] when a metrics instance is
-    ambient. *)
+    [fbufs_obs_dump_suppressed_total{reason}] when the observed machines
+    are metered. *)
 
 val render_dump : t -> reason:string -> (string * string) list
 (** The dump a {!trigger} would write, as [(filename, content)] pairs,
     without touching the filesystem or the debounce state — what the
     determinism tests compare. *)
-
-val last_ts : t -> float
-(** Latest simulated timestamp observed through the taps (0 initially). *)
 
 val dumps : t -> int
 val events_seen : t -> int

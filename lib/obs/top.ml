@@ -2,28 +2,26 @@ module Machine = Fbufs_sim.Machine
 module Mx = Fbufs_metrics.Metrics
 module Ledger = Fbufs_metrics.Ledger
 module Sketch = Fbufs_trace.Sketch
+module Span = Fbufs_span.Span
 module Comp = Fbufs_metrics.Component
 
 type t = {
   interval_us : float;
-  ppf : Format.formatter;
-  monitor : Monitor.t option;
-  metrics : Mx.t;
+  spans : Span.t;  (* the transfers whose walls the closing frame reports *)
+  mutable metrics : Mx.t option;  (* the observed machines' instance *)
   prev : (string, float) Hashtbl.t;  (* counter totals at the last frame *)
   mutable next_due : float;
   mutable last_now : float;
   mutable frames : int;
 }
 
-let create ?(interval_us = 1_000_000.0) ?(ppf = Format.std_formatter) ?monitor
-    ~metrics () =
+let create ?(interval_us = 1_000_000.0) () =
   if interval_us <= 0.0 then
     invalid_arg "Top.create: interval must be positive";
   {
     interval_us;
-    ppf;
-    monitor;
-    metrics;
+    spans = Span.create ();
+    metrics = None;
     prev = Hashtbl.create 16;
     next_due = interval_us;
     last_now = 0.0;
@@ -36,7 +34,7 @@ let track t key total =
   Hashtbl.replace t.prev key total;
   (total, total -. prev)
 
-let delta t name = track t name (Mx.total_by_name t.metrics ~name)
+let delta t mx name = track t name (Mx.total_by_name mx ~name)
 
 (* Machine events [names] summed over every metered machine (from one
    [Mx.events] read, [cells]), with the per-frame delta under [key]. *)
@@ -47,14 +45,14 @@ let events_delta t cells key names =
          if List.mem event names then acc +. v else acc)
        0.0 cells)
 
-let gauge_sum t name =
+let gauge_sum mx name =
   List.fold_left
     (fun acc (s : Mx.sample) ->
       if s.Mx.def.Mx.name = name then acc +. s.Mx.value else acc)
-    0.0 (Mx.samples t.metrics)
+    0.0 (Mx.samples mx)
 
 (* Aggregate a counter by one label position (e.g. drops by class). *)
-let by_label t name ~pos =
+let by_label mx name ~pos =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun (s : Mx.sample) ->
@@ -65,42 +63,29 @@ let by_label t name ~pos =
               (s.Mx.value
               +. Option.value ~default:0.0 (Hashtbl.find_opt tbl l))
         | None -> ())
-    (Mx.samples t.metrics);
+    (Mx.samples mx);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let merged_sketch t name =
-  List.fold_left
-    (fun acc (s : Mx.sample) ->
-      if s.Mx.def.Mx.name = name then
-        match (s.Mx.sketch, acc) with
-        | Some sk, None -> Some sk
-        | Some sk, Some m -> Some (Sketch.merge m sk)
-        | None, _ -> acc
-      else acc)
-    None (Mx.samples t.metrics)
-
-let frame t ~now_us =
-  t.frames <- t.frames + 1;
+let body t mx ~walls =
   let p = Format.fprintf in
-  let ppf = t.ppf in
-  p ppf "── top @@ %.1f us ─ frame %d ─@." now_us t.frames;
-  let ev = events_delta t (Mx.events t.metrics) in
+  let ppf = Format.std_formatter in
+  let ev = events_delta t (Mx.events mx) in
   let sends, d_sends = ev "sends" [ "fbuf.send" ] in
   let pdus, d_pdus = ev "pdus" [ "osiris.tx_pdu"; "osiris.rx_pdu" ] in
   let pdu_drops, d_pdu_drops = ev "lost" [ "osiris.pdu_dropped" ] in
   p ppf "  sends %12.0f (+%.0f)   net pdus %12.0f (+%.0f)  lost %.0f (+%.0f)@."
     sends d_sends pdus d_pdus pdu_drops d_pdu_drops;
-  let allocs, d_allocs = delta t "fbufs_alloc_total" in
+  let allocs, d_allocs = delta t mx "fbufs_alloc_total" in
   let secured, d_secured =
     ev "secured" [ "fbuf.secured"; "fbuf.secure_noop" ]
   in
   p ppf "  allocs %11.0f (+%.0f)   secured %13.0f (+%.0f)@." allocs d_allocs
     secured d_secured;
-  let pol_drops, d_pol_drops = delta t "fbufs_policy_dropped_total" in
+  let pol_drops, d_pol_drops = delta t mx "fbufs_policy_dropped_total" in
   if pol_drops > 0.0 || d_pol_drops > 0.0 then begin
     p ppf "  policy drops %5.0f (+%.0f)" pol_drops d_pol_drops;
-    let classes = by_label t "fbufs_policy_dropped_total" ~pos:2 in
+    let classes = by_label mx "fbufs_policy_dropped_total" ~pos:2 in
     if classes <> [] then begin
       p ppf "  [";
       List.iteri
@@ -110,8 +95,8 @@ let frame t ~now_us =
     end;
     p ppf "@."
   end;
-  let held = gauge_sum t "fbufs_policy_held_pages" in
-  let thr = gauge_sum t "fbufs_policy_threshold_pages" in
+  let held = gauge_sum mx "fbufs_policy_held_pages" in
+  let thr = gauge_sum mx "fbufs_policy_threshold_pages" in
   if held > 0.0 || thr > 0.0 then
     p ppf "  held pages %7.0f   threshold %11.0f@." held thr;
   let shoot, d_shoot =
@@ -126,15 +111,9 @@ let frame t ~now_us =
   in
   p ppf "  tlb shootdowns %3.0f (+%.0f)   elided %14.0f (+%.0f)@." shoot
     d_shoot elided d_elided;
-  (match t.monitor with
-  | Some mon ->
-      p ppf "  monitor violations %.0f   checks %d@."
-        (float_of_int (Monitor.violation_count mon))
-        (Monitor.checks mon)
-  | None ->
-      let v = Mx.total_by_name t.metrics ~name:"fbufs_monitor_violations_total" in
-      if v > 0.0 then p ppf "  monitor violations %.0f@." v);
-  let ledger = Mx.ledger t.metrics in
+  let v = Mx.total_by_name mx ~name:"fbufs_monitor_violations_total" in
+  if v > 0.0 then p ppf "  monitor violations %.0f@." v;
+  let ledger = Mx.ledger mx in
   let total = Ledger.total_us ledger in
   if total > 0.0 then begin
     p ppf "  cost shares:";
@@ -145,26 +124,39 @@ let frame t ~now_us =
       (Ledger.by_component ledger);
     p ppf "  (total %.1f us)@." total
   end;
-  (match merged_sketch t "fbufs_transfer_wall_us" with
+  match walls with
   | Some sk when Sketch.count sk > 0 ->
       p ppf "  transfer wall p50 %.1f us  p99 %.1f us  (n=%d)@."
         (Sketch.quantile sk 50.0) (Sketch.quantile sk 99.0) (Sketch.count sk)
-  | Some _ | None -> ())
+  | Some _ | None -> ()
+
+let render t ~now_us ~walls =
+  t.frames <- t.frames + 1;
+  Format.printf "── top @@ %.1f us ─ frame %d ─@." now_us t.frames;
+  Option.iter (fun mx -> body t mx ~walls) t.metrics
 
 let tick t now_us =
   if now_us > t.last_now then t.last_now <- now_us;
   while now_us >= t.next_due do
-    frame t ~now_us:t.next_due;
+    render t ~now_us:t.next_due ~walls:None;
     t.next_due <- t.next_due +. t.interval_us
   done
 
-let final t = frame t ~now_us:t.last_now
+(* The closing frame adds the wall time of every transfer recorded. *)
+let final t =
+  let walls = Sketch.create () in
+  List.iter
+    (fun tr -> Sketch.add walls (Fbufs_span.Critical.analyze t.spans tr).wall_us)
+    (Span.transfers t.spans);
+  render t ~now_us:t.last_now ~walls:(Some walls)
 
-let install t = Machine.default_tick := Some (tick t)
-let uninstall _t = Machine.default_tick := None
+(* The span sink feeds only the closing frame, so it stays out of the
+   machine's sinks and lends no transfers to an exposition. *)
+let probe t m =
+  let tick () =
+    if Option.is_none t.metrics then t.metrics <- Mx.of_machine m;
+    tick t (Machine.now m)
+  in
+  Fbufs_sim.Observer.(
+    both { (Span.probe t.spans m) with sinks = [] } { nop with tick })
 
-let with_installed t f =
-  install t;
-  Fun.protect ~finally:(fun () -> uninstall t) f
-
-let frames t = t.frames

@@ -120,7 +120,7 @@ let entry_labels t e =
   [ m.Machine.name; string_of_int path.Path.id; klass_label e.e_klass ]
 
 let note_held t e =
-  match Machine.metrics (machine t) with
+  match Mx.of_machine (machine t) with
   | None -> ()
   | Some mx ->
       let m = machine t in
@@ -176,7 +176,7 @@ let admit t e ~npages ~growth =
   let rec decide () =
     let free = free_frames t in
     let thr = threshold t.kind e.e_klass ~free_frames:free in
-    (match Machine.metrics m with
+    (match Mx.of_machine m with
     | None -> ()
     | Some mx ->
         Mx.set mx threshold_gauge
@@ -188,7 +188,7 @@ let admit t e ~npages ~growth =
            { path = path_id; npages; growth; held = e.e_held; free;
              threshold = thr });
       t.n_admitted <- t.n_admitted + 1;
-      match Machine.metrics m with
+      match Mx.of_machine m with
       | None -> ()
       | Some mx -> Mx.incr mx admitted_total ~labels:(entry_labels t e) ()
     end
@@ -206,7 +206,7 @@ let admit t e ~npages ~growth =
                  free;
                });
           t.n_evicted <- t.n_evicted + 1;
-          (match Machine.metrics m with
+          (match Mx.of_machine m with
           | None -> ()
           | Some mx ->
               Mx.incr mx evictions_total ~labels:(entry_labels t ve) ());
@@ -218,7 +218,7 @@ let admit t e ~npages ~growth =
                { path = path_id; npages; held = e.e_held; free;
                  threshold = thr });
           t.n_dropped <- t.n_dropped + 1;
-          (match Machine.metrics m with
+          (match Mx.of_machine m with
           | None -> ()
           | Some mx -> Mx.incr mx dropped_total ~labels:(entry_labels t e) ());
           raise

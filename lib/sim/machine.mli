@@ -3,7 +3,12 @@
     Every other subsystem (VM, fbufs, IPC, protocols, drivers) operates on a
     [Machine.t] and accounts simulated time through {!charge} (CPU work) or
     {!elapse} (idle waiting, e.g. for the network), which keeps CPU-load
-    accounting honest for the paper's section-4 load measurements. *)
+    accounting honest for the paper's section-4 load measurements.
+
+    Whatever watches a machine — trace, metrics, causal spans, monitors,
+    the flight recorder — is one {!Observer.t}, built by each telemetry
+    library's {!probe} and installed with {!with_probe}; the simulator
+    itself links no telemetry. *)
 
 type busy = { mutable busy_us : float }
 (** Single-field all-float record: the busy accumulator lives in flat
@@ -20,42 +25,19 @@ type t = {
   busy : busy;
   mutable next_asid : int;
   mutable next_id : int;
-  mutable trace : Fbufs_trace.Trace.t option;
-  mutable metrics : Fbufs_metrics.Metrics.t option;
-  mutable spans : Fbufs_span.Span.t option;
-  mutable comp_ctx : Fbufs_metrics.Component.t option;
-  mutable seq_hook : (t -> string -> unit) option;
-  mutable on_tick : (float -> unit) option;
+  mutable obs : Observer.t;  (** set once, by {!create} *)
+  mutable comp_ctx : Component.t option;
 }
 
-val default_trace : Fbufs_trace.Trace.t option ref
-(** Sink installed on machines subsequently built by {!create} when no
-    explicit [?trace] is given. Lets a harness observe machines it does
-    not construct itself (the experiment drivers build their own
-    testbeds); [None] — the default — disables tracing everywhere. *)
+type probe = t -> Observer.t
+(** Builds a machine's observer when {!create} makes it; the closures
+    may keep per-machine state. *)
 
-val default_metrics : Fbufs_metrics.Metrics.t option ref
-(** Same install pattern as {!default_trace}, for the metrics registry
-    and cost-attribution ledger. A machine created while it is set is
-    metered: {!create} hands the instance a reader of the machine's
-    {!Stats} table, which the exposition renders as
-    [fbufs_events_total]. [None] (the default) means machines are
-    unmetered and the instrumented paths do no registry work at all. *)
-
-val default_spans : Fbufs_span.Span.t option ref
-(** Same install pattern, for the causal span sink. [None] (the default)
-    disables span recording: every [transfer_begin]/[span_enter] returns
-    0 immediately and {!charge} does one pointer comparison. *)
-
-val default_seq_hook : (t -> string -> unit) option ref
-(** Same install pattern, for the {!seq_point} callback the online
-    invariant monitors hang off. [None] (the default) makes every
-    sequence point one pointer comparison. *)
-
-val default_tick : (float -> unit) option ref
-(** Same install pattern, for the clock-advance callback (called with
-    the new simulated time after every {!charge} and {!elapse_to}) that
-    drives periodic snapshot reports on the simulated timeline. *)
+val with_probe : probe -> (unit -> 'a) -> 'a
+(** [with_probe p f] runs [f] with [p] added to the probes installed by
+    the enclosing brackets, observing every machine {!create}d inside
+    (which keeps its observers after [f]); the previous set is restored
+    on exit, also when [f] raises. *)
 
 val create :
   ?name:string ->
@@ -66,70 +48,55 @@ val create :
   unit ->
   t
 (** Defaults: DecStation 5000/200 cost model, 4096 frames (16 MB), 64 TLB
-    entries, seed 42. The sinks are taken from {!default_trace},
-    {!default_metrics}, {!default_spans}, {!default_seq_hook} and
-    {!default_tick}. *)
-
-val set_trace : t -> Fbufs_trace.Trace.t option -> unit
+    entries, seed 42. Observed by the probes installed by the enclosing
+    {!with_probe} brackets. *)
 
 val tracing : t -> bool
-(** Whether a sink is attached. Instrumentation sites that build argument
-    lists must test this first so a disabled trace costs one pointer
-    comparison and no allocation. *)
-
-val metrics : t -> Fbufs_metrics.Metrics.t option
-(** The attached metrics instance, if the machine is metered. Event
-    counts go to {!Stats} on every machine; only the registry families
-    (per-path allocator counters and gauges, policy, monitors, the PDU
-    size sketch) match on this, so an unmetered machine pays one
-    pointer comparison there. *)
-
-val set_spans : t -> Fbufs_span.Span.t option -> unit
+(** Whether an observer consumes trace events. Instrumentation sites that
+    build argument lists must test this first so an unobserved machine
+    pays one comparison and no allocation. *)
 
 val spanning : t -> bool
-(** Whether a causal span sink is attached — the counterpart of
+(** Whether a causal span sink observes the machine — the counterpart of
     {!tracing} for the span instrumentation. *)
-
-val spans : t -> Fbufs_span.Span.t option
 
 val seq_point : t -> string -> unit
 (** Declare a sequence point — a site (named like ["ipc.reply"],
     ["transfer.secure"], ["pageout.balance"]) where the system's
-    invariants are expected to hold. Dispatches to the installed hook;
-    with none installed (the default) the cost is one pointer
-    comparison, preserving pay-for-play. *)
+    invariants are expected to hold. The online monitors check them
+    here; unobserved, the cost is one pointer comparison. *)
 
-val with_comp : t -> Fbufs_metrics.Component.t -> (unit -> 'a) -> 'a
+val with_comp : t -> Component.t -> (unit -> 'a) -> 'a
 (** Run [f] with every {!charge} attributed to the given component,
     overriding the call sites' own tags — used where a whole activity
     (e.g. aggregate-object deserialization) belongs to one Table 1 row
     even though it exercises allocator and VM charge sites. Restores the
     previous context on exit, exceptions included. *)
 
-val charge : ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> float -> unit
+val charge : ?kind:string -> ?comp:Component.t -> t -> float -> unit
 (** Consume [us] microseconds of CPU time: advances the clock and the busy
-    accumulator. With [?kind] and a trace attached, additionally emits a
-    [Complete] slice of that duration — this is how every individual cost
-    in the model becomes visible on the timeline. With a metrics instance
-    attached, the charge also lands in the cost ledger under [?comp]
-    (or the surrounding {!with_comp} context; [Other] if neither).
-    Tracing and metering never alter the charge itself. *)
+    accumulator. The observers see the charge first, with its [?kind]
+    and its component ([?comp], or the surrounding {!with_comp} context):
+    the trace emits a [Complete] slice for a charge with a kind — this is
+    how every individual cost in the model becomes visible on the
+    timeline — the cost ledger and the span sink attribute it ([Other]
+    when untagged). Observers never alter the charge itself. *)
 
 val charge_n :
-  ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> int -> float -> unit
+  ?kind:string -> ?comp:Component.t -> t -> int -> float -> unit
 (** [charge_n m n us] charges [n] repetitions of a per-item cost. *)
 
-val elapse_to : ?kind:string -> t -> float -> unit
-(** Wait (idle) until an absolute simulated time; no busy time accrues.
-    With [?kind], the idle interval is emitted as a [Complete] slice. *)
+val elapse_to : t -> float -> unit
+(** Wait (idle) until an absolute simulated time; no busy time accrues. *)
 
 (** {1 Causal spans}
 
-    Wrappers over {!Fbufs_span.Span} stamped with this machine's clock
-    and name. With no sink attached every call is a pointer comparison;
-    begin/enter return 0 and end/exit ignore 0, so call sites need no
-    guards. Every {!charge} made while a span is open on the machine is
-    attributed to it (innermost wins) under its Table 1 component. *)
+    Requests to the machine's causal span sink, which stamps them with
+    this machine's clock and name. With no sink every call is one
+    comparison; begin/enter return 0 and end/exit ignore 0, so call
+    sites need no guards. Every {!charge} made while a span is open on
+    the machine is attributed to it (innermost wins) under its Table 1
+    component. *)
 
 val transfer_begin : t -> ?domain:string -> ?path_id:int -> string -> int
 (** Open a transfer (one end-to-end data movement) rooted on this
@@ -165,7 +132,7 @@ val span_flight :
   string ->
   int
 (** Record a wire-occupancy span (serialization + propagation) on the
-    {!Fbufs_span.Span.wire} pseudo-machine. *)
+    span sink's wire pseudo-machine. *)
 
 val current_transfer : t -> int
 (** The machine's current transfer context (0 when none or disabled) —
@@ -175,24 +142,25 @@ val trace_instant :
   t ->
   ?domain:string ->
   ?path_id:int ->
-  ?args:(string * Fbufs_trace.Trace.arg) list ->
+  ?args:(string * Observer.arg) list ->
   string ->
   unit
 (** Emit an instant event stamped with the machine's current simulated
-    time. No-op without a sink (guard arg construction with {!tracing}). *)
+    time. No-op without a trace (guard arg construction with
+    {!tracing}). *)
 
 val trace_complete :
   t ->
   since:float ->
   ?domain:string ->
   ?path_id:int ->
-  ?args:(string * Fbufs_trace.Trace.arg) list ->
+  ?args:(string * Observer.arg) list ->
   string ->
   unit
 (** Emit a [Complete] slice covering [since] to the machine's current
     simulated time — an interval whose start the caller already holds
     (an IPC call's entry, an fbuf's allocation, a PDU's send). No-op
-    without a sink (guard arg construction with {!tracing}). *)
+    without a trace (guard arg construction with {!tracing}). *)
 
 val now : t -> float
 

@@ -5,8 +5,8 @@
     behaviour rather than only on elapsed time.
 
     This is the one counter for machine events: each event is counted
-    here once. A metered machine ({!Machine.default_metrics} set when it
-    is created) hands its table to the metrics instance, whose exposition
+    here once. A metered machine (one created inside a metrics probe's
+    bracket) hands its table to the metrics instance, whose exposition
     reads it as [fbufs_events_total{machine,event}]; no registry family
     keeps a second copy. *)
 

@@ -1,4 +1,4 @@
-module Comp = Fbufs_metrics.Component
+module Comp = Fbufs_sim.Component
 module Sketch = Fbufs_trace.Sketch
 
 (* Critical-path extraction over one transfer's span set.

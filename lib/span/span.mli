@@ -18,7 +18,7 @@
 
 val ncomp : int
 (** Number of cost components; charge arrays are indexed by
-    {!Fbufs_metrics.Component.index}. *)
+    {!Fbufs_sim.Component.index}. *)
 
 val ns_of_us : float -> int
 (** Round a simulated-microsecond amount to integer nanoseconds — the
@@ -41,7 +41,7 @@ type span = {
   path_id : int;
   start_us : float;
   mutable end_us : float;  (** nan while open *)
-  charges_ns : int array;  (** per-component, {!Fbufs_metrics.Component.index} *)
+  charges_ns : int array;  (** per-component, {!Fbufs_sim.Component.index} *)
 }
 
 type transfer = {
@@ -57,8 +57,8 @@ type t
 
 val create : unit -> t
 
-(** {1 Recording} — driven by {!Fbufs_sim.Machine}; timestamps are the
-    charging machine's simulated clock. Span/transfer id 0 means "none"
+(** {1 Recording} — driven by {!probe}; timestamps are the charging
+    machine's simulated clock. Span/transfer id 0 means "none"
     and is ignored everywhere, so call sites need no guards. *)
 
 val transfer_begin :
@@ -124,7 +124,8 @@ val flight :
     (serialization + propagation). Returns its id for the delivery side
     to follow. *)
 
-val on_charge : t -> machine:string -> comp:Fbufs_metrics.Component.t -> float -> unit
+val on_charge :
+  t -> machine:string -> comp:Fbufs_sim.Component.t -> float -> unit
 (** Attribute one charge (microseconds) to the innermost open span of
     [machine] — or to the machine's untracked cells when no span is
     open. *)
@@ -189,3 +190,14 @@ val check : t -> string list
     span charges sum {e exactly} to the transfer cells; per machine,
     span charges plus untracked charges equal the arrival total. Empty
     list = well-formed. Includes {!violations}. *)
+
+(** {1 Observing machines} *)
+
+val probe : t -> Fbufs_sim.Machine.probe
+(** Record machines' causal spans here: their span requests are answered
+    stamped with their clock and name, and each charge is attributed by
+    {!on_charge}. Span sinks observing one machine agree on every id. *)
+
+val of_machine : Fbufs_sim.Machine.t -> t option
+(** The span sink recording a machine (the outermost one if several do);
+    [None] when none does. *)

@@ -1,6 +1,6 @@
 module Json = Fbufs_trace.Json
 module Chrome = Fbufs_trace.Chrome
-module Comp = Fbufs_metrics.Component
+module Comp = Fbufs_sim.Component
 
 (* Exporters for recorded span trees.
 

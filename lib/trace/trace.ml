@@ -1,4 +1,4 @@
-type arg = Str of string | Int of int | Float of float
+type arg = Fbufs_sim.Observer.arg = Str of string | Int of int | Float of float
 
 type phase = Instant | Complete of float
 
@@ -50,7 +50,6 @@ type t = {
   latency : bool; (* maintain per-(kind, path) latency sketches *)
   mutable start : int; (* index of the oldest retained event (ring mode) *)
   mutable dropped : int;
-  mutable tap : (event -> unit) option;
   mutable sampler : sampler option;
   last : float array; (* newest timestamp seen; float array so the
                          per-event update is an unboxed store *)
@@ -133,13 +132,11 @@ let create ?(ring = false) ?(latency = true) ?capacity () =
     latency;
     start = 0;
     dropped = 0;
-    tap = None;
     sampler = None;
     last = [| 0.0 |];
     lat = Hashtbl.create 64;
   }
 
-let set_tap t f = t.tap <- f
 let set_sampler t s = t.sampler <- s
 let last_ts t = t.last.(0)
 
@@ -189,7 +186,6 @@ let ring_slot t cap =
   end
 
 let push t ev =
-  (match t.tap with Some f -> f ev | None -> ());
   (match t.sampler with
   | Some s ->
       let w = match ev.phase with Complete d -> Float.max d 1e-9 | _ -> 1.0 in
@@ -240,14 +236,13 @@ let complete t ~ts_us ~dur_us ~machine ?(domain = "") ?(path_id = -1)
 
 (* The per-charge slice is by far the hottest emission site (tens of
    thousands per run), so it gets a record-free entry point: in ring
-   mode with no generic tap installed, the fields go straight into the
-   columns and an event record is only materialized when the sampler
-   accepts one. With a tap (or without a ring) this degrades to the
-   ordinary [complete] with an identical args list, so dumps are
+   mode the fields go straight into the columns and an event record is
+   only materialized when the sampler accepts one. Without a ring this
+   is the ordinary [complete] with an identical args list, so dumps are
    byte-identical either way. [comp = ""] means no component tag. *)
 let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
-  match (t.cols, t.tap) with
-  | Some c, None ->
+  match t.cols with
+  | Some c ->
       if ts_us > t.last.(0) then t.last.(0) <- ts_us;
       let i = ring_slot t (Array.length c.c_ts) in
       c.c_ts.(i) <- ts_us;
@@ -267,7 +262,7 @@ let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
           else s.skip.(0) <- sk
       | None -> ());
       record_latency t ~kind ~path_id:(-1) dur_us
-  | _ ->
+  | None ->
       let args =
         if String.length comp = 0 then [] else [ ("comp", Str comp) ]
       in
@@ -277,3 +272,30 @@ let summary t =
   Hashtbl.fold (fun k sk acc -> (k, sk) :: acc) t.lat []
   |> List.sort (fun ((ka, pa), _) ((kb, pb), _) ->
          match String.compare ka kb with 0 -> compare pa pb | c -> c)
+
+(* The trace's observer of one machine: a slice per charge with a kind,
+   and the instants and slices the instrumentation emits, each stamped
+   with the machine's clock. *)
+let probe t (m : Fbufs_sim.Machine.t) =
+  let module M = Fbufs_sim.Machine in
+  let machine = m.M.name in
+  {
+    Fbufs_sim.Observer.nop with
+    traced = true;
+    charge =
+      (fun kind comp us ->
+        match kind with
+        | None -> ()
+        | Some k ->
+            (* [Component.label] returns a literal, so the ring fast path
+               stores no young pointer. *)
+            let comp = Option.fold ~none:"" ~some:Fbufs_sim.Component.label comp in
+            complete_comp t ~ts_us:(M.now m) ~dur_us:us ~machine ~comp k);
+    instant =
+      (fun domain path_id args kind ->
+        instant t ~ts_us:(M.now m) ~machine ?domain ?path_id ?args kind);
+    slice =
+      (fun since domain path_id args kind ->
+        complete t ~ts_us:since ~dur_us:(M.now m -. since) ~machine ?domain
+          ?path_id ?args kind);
+  }

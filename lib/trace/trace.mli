@@ -18,7 +18,7 @@
     maintained online as every slice is pushed, so percentile summaries
     survive even when a bounded buffer drops raw events. *)
 
-type arg = Str of string | Int of int | Float of float
+type arg = Fbufs_sim.Observer.arg = Str of string | Int of int | Float of float
 
 type phase = Instant | Complete of float  (** duration in simulated us *)
 
@@ -48,14 +48,6 @@ val create : ?ring:bool -> ?latency:bool -> ?capacity:int -> unit -> t
     Raises [Invalid_argument] when [capacity] is not positive, or when
     [ring] is set without a [capacity]. *)
 
-val set_tap : t -> (event -> unit) option -> unit
-(** Install (or clear) a callback observing every event as it is pushed,
-    before any capacity/ring bookkeeping — the tap sees events the buffer
-    subsequently drops or overwrites. [None] by default, costing one
-    pointer compare per push. A generic tap forces the hot charge path
-    ({!complete_comp}) to materialize full event records; the flight
-    recorder uses the cheaper {!set_sampler} hook instead. *)
-
 type sampler = {
   skip : float array;
       (** Length-1 cell holding the weight budget until the next
@@ -72,20 +64,6 @@ type sampler = {
 }
 
 val set_sampler : t -> sampler option -> unit
-
-val complete_comp :
-  t ->
-  ts_us:float ->
-  dur_us:float ->
-  machine:string ->
-  comp:string ->
-  string ->
-  unit
-(** [complete] specialized to the per-charge slice: at most one
-    [("comp", Str comp)] argument ([comp = ""] for none), no domain, no
-    path. In ring mode with no generic tap this writes the ring columns
-    directly without allocating an event record; otherwise it behaves
-    exactly like [complete], and the stored events are identical. *)
 
 val last_ts : t -> float
 (** Largest timestamp pushed so far (0.0 when none — reset by
@@ -124,4 +102,9 @@ val complete :
 
 val summary : t -> ((string * int) * Sketch.t) list
 (** Latency sketches keyed by [(kind, path_id)], sorted by kind then
-    path id. Populated by [complete] and [complete_comp]. *)
+    path id. Populated by every slice, charges included. *)
+
+val probe : t -> Fbufs_sim.Machine.probe
+(** Trace machines into this sink: a [Complete] slice per charge that has
+    a kind (its component as the ["comp"] argument) and every instant
+    and slice they emit, stamped with their simulated clock and name. *)

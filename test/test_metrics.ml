@@ -20,16 +20,10 @@ module Check = Fbufs_check
 let check = Alcotest.check
 
 (* Run [f] with a fresh instance installed the way the harness installs
-   one: through [Machine.default_metrics], picked up by every machine
-   created inside. *)
+   one: a metrics probe observing every machine created inside. *)
 let metered f =
   let mx = Mx.create () in
-  let saved = !Machine.default_metrics in
-  Machine.default_metrics := Some mx;
-  let r =
-    Fun.protect ~finally:(fun () -> Machine.default_metrics := saved) f
-  in
-  (r, mx)
+  (Machine.with_probe (Mx.probe mx) f, mx)
 
 let raises_invalid f =
   match f () with
@@ -135,13 +129,9 @@ let test_prometheus_text () =
    render [_count]/[_sum]/[{quantile=...}] lines, which is a summary. *)
 let test_prometheus_types () =
   let sink = Fbufs_span.Span.create () in
-  let saved = !Machine.default_spans in
   let (), mx =
     metered (fun () ->
-        Machine.default_spans := Some sink;
-        Fun.protect
-          ~finally:(fun () -> Machine.default_spans := saved)
-          (fun () ->
+        Machine.with_probe (Fbufs_span.Span.probe sink) (fun () ->
             ignore
               (Fbufs_harness.Exp_fig5.run_one ~uncached:false
                  ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384
@@ -295,7 +285,7 @@ let test_metered_run_simulated_identical () =
 let test_disabled_machine_carries_no_instance () =
   let tb = Testbed.create () in
   Alcotest.(check bool) "no instance installed" true
-    (Machine.metrics tb.Testbed.m = None)
+    (Mx.of_machine tb.Testbed.m = None)
 
 (* ------------------------------------------------------------------ *)
 (* Differential against the reference model                            *)

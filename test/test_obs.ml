@@ -73,7 +73,7 @@ let small = { Recorder.default with event_capacity = 64; reservoir = 16 }
 let synthetic_dump config =
   let r = Recorder.create config in
   Recorder.with_armed r (fun () ->
-      let tr = Option.get !Machine.default_trace in
+      let tr = Recorder.trace r in
       for i = 1 to 500 do
         let ts = float_of_int i *. 3.0 in
         if i mod 3 = 0 then
@@ -159,7 +159,7 @@ let test_trigger_debounce_and_cap () =
       }
   in
   Recorder.with_armed r (fun () ->
-      let tr = Option.get !Machine.default_trace in
+      let tr = Recorder.trace r in
       let at ts = Trace.instant tr ~ts_us:ts ~machine:"m" "tick" in
       at 0.0;
       Alcotest.(check bool) "first fires" true (Recorder.trigger r ~reason:"a");
@@ -182,10 +182,7 @@ let test_planted_violation_monitors_and_dump () =
   Fun.protect ~finally:(fun () -> Policy.chaos_skip_threshold := false)
   @@ fun () ->
   let mx = Mx.create () in
-  let saved = !Machine.default_metrics in
-  Machine.default_metrics := Some mx;
-  Fun.protect ~finally:(fun () -> Machine.default_metrics := saved)
-  @@ fun () ->
+  Machine.with_probe (Mx.probe mx) @@ fun () ->
   let r =
     Recorder.create
       {
@@ -196,7 +193,7 @@ let test_planted_violation_monitors_and_dump () =
   in
   let mon = Monitor.create ~recorder:r { Monitor.default with grace = 0 } in
   Recorder.with_armed r (fun () ->
-      Monitor.with_installed mon (fun () ->
+      Machine.with_probe (Monitor.probe mon) (fun () ->
           Policy.chaos_skip_threshold := true;
           (* Un-enforced admission leaks held pages until the arena is
              exhausted; the crash is the fault's endgame — the monitors
@@ -239,16 +236,33 @@ let test_planted_violation_still_fails_checker () =
 (* Monitors on a healthy metered run stay silent. *)
 let test_monitors_silent_on_healthy_run () =
   let mx = Mx.create () in
-  let saved = !Machine.default_metrics in
-  Machine.default_metrics := Some mx;
-  Fun.protect ~finally:(fun () -> Machine.default_metrics := saved)
-  @@ fun () ->
+  Machine.with_probe (Mx.probe mx) @@ fun () ->
   let mon = Monitor.create Monitor.default in
-  Monitor.with_installed mon (fun () ->
+  Machine.with_probe (Monitor.probe mon) (fun () ->
       ignore
         (Scenario.run ~kind:(Policy.Fb_dynamic { alpha = 0.5 }) Scenario.Incast));
   Alcotest.(check bool) "sequence points observed" true (Monitor.checks mon > 0);
   Alcotest.(check int) "no violations" 0 (Monitor.violation_count mon)
+
+(* Table 1 builds many testbeds, all named "host", and the ledger's
+   per-name total merges them; the ledger rule compares each machine's
+   own arrival total with its busy time, so a second "host" is not
+   charged with the first one's time. *)
+let test_ledger_rule_per_machine () =
+  let mx = Mx.create () in
+  let mon = Monitor.create Monitor.default in
+  Machine.with_probe (Mx.probe mx) (fun () ->
+      Machine.with_probe (Monitor.probe mon) (fun () ->
+          for _ = 1 to 2 do
+            let m = Machine.create ~name:"host" () in
+            for _ = 1 to 4 do
+              Machine.charge m 1.5;
+              Machine.seq_point m "test"
+            done
+          done));
+  Alcotest.(check int) "every sequence point checked" 8 (Monitor.checks mon);
+  Alcotest.(check (list (pair string string)))
+    "no ledger violation" [] (Monitor.violations mon)
 
 (* -- trend gate --------------------------------------------------------- *)
 
@@ -405,6 +419,8 @@ let () =
             test_planted_violation_monitors_and_dump;
           Alcotest.test_case "same fault fails the offline checker" `Quick
             test_planted_violation_still_fails_checker;
+          Alcotest.test_case "ledger rule per machine" `Quick
+            test_ledger_rule_per_machine;
           Alcotest.test_case "silent on a healthy run" `Quick
             test_monitors_silent_on_healthy_run;
         ] );

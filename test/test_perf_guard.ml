@@ -135,12 +135,9 @@ let test_metrics_disabled_not_slower_than_enabled () =
     Testbed.allocator unmetered ~domains:[ app_u ] Fbuf.cached_volatile
   in
   let mx = Fbufs_metrics.Metrics.create () in
-  let saved = !Fbufs_sim.Machine.default_metrics in
-  Fbufs_sim.Machine.default_metrics := Some mx;
   let metered =
-    Fun.protect
-      ~finally:(fun () -> Fbufs_sim.Machine.default_metrics := saved)
-      (fun () -> Testbed.create ())
+    Fbufs_sim.Machine.with_probe (Fbufs_metrics.Metrics.probe mx) (fun () ->
+        Testbed.create ())
   in
   let app_m = Testbed.user_domain metered "app" in
   let alloc_m =
@@ -165,8 +162,11 @@ let test_spans_disabled_not_slower_than_enabled () =
   let alloc_p =
     Testbed.allocator plain ~domains:[ app_p ] Fbuf.cached_volatile
   in
-  let spanned = Testbed.create () in
-  Machine.set_spans spanned.Testbed.m (Some (Fbufs_span.Span.create ()));
+  let spanned =
+    Machine.with_probe
+      (Fbufs_span.Span.probe (Fbufs_span.Span.create ()))
+      (fun () -> Testbed.create ())
+  in
   let app_s = Testbed.user_domain spanned "app" in
   let alloc_s =
     Testbed.allocator spanned ~domains:[ app_s ] Fbuf.cached_volatile
@@ -181,9 +181,23 @@ let test_spans_disabled_not_slower_than_enabled () =
   in
   check_within ~bound:1.05 disabled enabled
 
+(* The unobserved charge path is one comparison before the clock moves
+   and one after, and allocates nothing: exactly the minor words of an
+   empty cycle measured the same way. *)
+let test_unobserved_charge_allocates_nothing () =
+  let m = Fbufs_sim.Machine.create () in
+  let empty = minor_words_per_cycle ignore in
+  let charged =
+    minor_words_per_cycle (fun () ->
+        Fbufs_sim.Machine.charge ~kind:"pmap.enter"
+          ~comp:Fbufs_metrics.Component.Map m 0.5)
+  in
+  Alcotest.(check (float 0.0))
+    "minor words per unobserved charge = per empty cycle" empty charged
+
 (* Same structural claim for the quantile sketch: observation sites guard
    on the machine carrying a registry, so with none installed a sketch
-   observation site costs one match on [Machine.metrics]. *)
+   observation site costs one match on [Metrics.of_machine]. *)
 let guard_sketch =
   Fbufs_metrics.Metrics.sketch ~name:"fbufs_perf_guard_wall_us"
     ~help:"perf-guard fixture sketch" ()
@@ -196,12 +210,8 @@ let test_sketch_disabled_not_slower_than_enabled () =
     Testbed.allocator unmetered ~domains:[ app_u ] Fbuf.cached_volatile
   in
   let mx = Mx.create () in
-  let saved = !Fbufs_sim.Machine.default_metrics in
-  Fbufs_sim.Machine.default_metrics := Some mx;
   let metered =
-    Fun.protect
-      ~finally:(fun () -> Fbufs_sim.Machine.default_metrics := saved)
-      (fun () -> Testbed.create ())
+    Fbufs_sim.Machine.with_probe (Mx.probe mx) (fun () -> Testbed.create ())
   in
   let app_m = Testbed.user_domain metered "app" in
   let alloc_m =
@@ -211,7 +221,7 @@ let test_sketch_disabled_not_slower_than_enabled () =
     alloc_free alloc dom 8 ();
     (* The transfer-wall observation site, guarded exactly like the
        harness's: registry absent means no sketch work at all. *)
-    match Fbufs_sim.Machine.metrics tb.Testbed.m with
+    match Mx.of_machine tb.Testbed.m with
     | None -> ()
     | Some mx -> Mx.observe mx guard_sketch 42.0
   in
@@ -402,6 +412,18 @@ let test_obs_not_linked_into_bench () =
         (contains src "fbufs_obs"))
     [ "bench/dune"; "lib/harness/dune"; "examples/dune" ]
 
+(* And for the simulator itself: telemetry observes machines through
+   probes, so the simulator library links none of the telemetry
+   libraries. *)
+let test_sim_links_no_telemetry () =
+  let src = read_file (in_tree "lib/sim/dune") in
+  List.iter
+    (fun lib ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lib/sim/dune does not link %s" lib)
+        false (contains src lib))
+    [ "fbufs_trace"; "fbufs_metrics"; "fbufs_span" ]
+
 (* Machine events are counted once, in the machine's [Stats] table,
    which the metrics exposition reads. The mechanism layers must not
    grow registry counters that shadow those events again. *)
@@ -452,7 +474,7 @@ let test_obs_unarmed_pays_nothing () =
   let mon = Mon.create ~recorder:r Mon.default in
   let armed_tb, armed, bare =
     R.with_armed r @@ fun () ->
-    Mon.with_installed mon @@ fun () ->
+    Fbufs_sim.Machine.with_probe (Mon.probe mon) @@ fun () ->
     let armed_tb = Testbed.create () in
     let app_a = Testbed.user_domain armed_tb "app" in
     let alloc_a =
@@ -540,6 +562,8 @@ let () =
             test_spans_disabled_not_slower_than_enabled;
           Alcotest.test_case "disabled sketch pays nothing" `Quick
             test_sketch_disabled_not_slower_than_enabled;
+          Alcotest.test_case "unobserved charge allocates nothing" `Quick
+            test_unobserved_charge_allocates_nothing;
         ] );
       ( "tlb elision overhead",
         [
@@ -566,6 +590,8 @@ let () =
             test_obs_not_linked_into_bench;
           Alcotest.test_case "no shadow counters in mechanism" `Quick
             test_no_shadow_counters_in_mechanism;
+          Alcotest.test_case "sim links no telemetry" `Quick
+            test_sim_links_no_telemetry;
         ] );
       ( "obs overhead",
         [

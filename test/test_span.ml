@@ -357,11 +357,7 @@ let test_sketch_metric_kind () =
 
 let test_fig5_run_is_well_formed_and_exact () =
   let sink = Span.create () in
-  let saved = !Machine.default_spans in
-  Machine.default_spans := Some sink;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_spans := saved)
-    (fun () ->
+  Machine.with_probe (Span.probe sink) (fun () ->
       ignore
         (Fbufs_harness.Exp_fig5.run_one ~uncached:false
            ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384 ~window:4
@@ -389,11 +385,7 @@ let test_fig5_spans_follow_across_transfers () =
   (* With a window, later transfers are pumped from ack handlers: their
      roots must carry cross-transfer follows edges. *)
   let sink = Span.create () in
-  let saved = !Machine.default_spans in
-  Machine.default_spans := Some sink;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_spans := saved)
-    (fun () ->
+  Machine.with_probe (Span.probe sink) (fun () ->
       ignore
         (Fbufs_harness.Exp_fig5.run_one ~uncached:false
            ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384 ~window:2
@@ -408,6 +400,55 @@ let test_fig5_spans_follow_across_transfers () =
        (List.length trs))
     true
     (List.length linked >= List.length trs - 2)
+
+(* Two span sinks on one machine agree on every id, whichever bracket is
+   outside: a lossy one (forgetting each transfer as it ends, like the
+   flight recorder's) installed around a complete one leaves the
+   complete record identical to a run with the complete sink alone. *)
+let test_two_sinks_agree () =
+  let run wrap =
+    let sink = Span.create () in
+    wrap (fun () ->
+        Machine.with_probe (Span.probe sink) (fun () ->
+            ignore
+              (Fbufs_harness.Exp_fig5.run_one ~uncached:false
+                 ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384
+                 ~window:2 ~nmsgs:6 ())));
+    no_violations "complete sink" sink;
+    (* path ids are process-global counters: compare everything else *)
+    List.map
+      (fun (tr : Span.transfer) ->
+        ( tr.Span.tid,
+          tr.Span.label,
+          List.map
+            (fun (sp : Span.span) ->
+              ( (sp.Span.id, sp.Span.transfer, sp.Span.parent, sp.Span.follows),
+                (sp.Span.kind, sp.Span.machine, sp.Span.domain),
+                ( sp.Span.start_us,
+                  sp.Span.end_us,
+                  Array.to_list sp.Span.charges_ns ) ))
+            (Span.spans_of tr) ))
+      (Span.transfers sink)
+  in
+  let alone = run (fun f -> f ()) in
+  let lossy = Span.create () in
+  Span.set_tap lossy (Some (fun tr -> Span.forget lossy tr.Span.tid));
+  let beside =
+    run (fun f ->
+        Machine.with_probe
+          (fun m ->
+            {
+              (Span.probe lossy m) with
+              sinks = [];
+              spans = Fbufs_sim.Observer.Lossy;
+            })
+          f)
+  in
+  Alcotest.(check int) "six transfers" 6 (List.length alone);
+  Alcotest.(check bool) "complete record unchanged by a lossy sink" true
+    (alone = beside);
+  Alcotest.(check (list string)) "the lossy sink saw no bad id" []
+    (Span.violations lossy)
 
 let () =
   let tc = Alcotest.test_case in
@@ -452,5 +493,7 @@ let () =
             test_fig5_run_is_well_formed_and_exact;
           tc "fig5 pipelining edges" `Quick
             test_fig5_spans_follow_across_transfers;
+          Alcotest.test_case "two sinks agree on ids" `Quick
+            test_two_sinks_agree;
         ] );
     ]

@@ -42,7 +42,10 @@ let test_machine_trace_complete () =
   Alcotest.(check bool) "disabled by default" false (Machine.tracing m);
   Machine.trace_complete m ~since:0.0 "nope" (* no sink: must not raise *);
   let tr = Trace.create () in
-  Machine.set_trace m (Some tr);
+  let m =
+    Machine.with_probe (Trace.probe tr) (fun () ->
+        Machine.create ~name:"host" ())
+  in
   Machine.charge ~kind:"before" m 2.0;
   let t0 = Machine.now m in
   Machine.charge ~kind:"step" m 5.0;
@@ -64,14 +67,10 @@ let test_machine_trace_complete () =
 (* ------------------------------------------------------------------ *)
 
 (* A small real workload with the sink installed the way the harness
-   does it: via [Machine.default_trace], picked up by [Machine.create]. *)
+   does it: a trace probe observing every machine [Machine.create]s. *)
 let traced_workload () =
   let tr = Trace.create () in
-  let saved = !Machine.default_trace in
-  Machine.default_trace := Some tr;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_trace := saved)
-    (fun () ->
+  Machine.with_probe (Trace.probe tr) (fun () ->
       let tb = Testbed.create () in
       let app = Testbed.user_domain tb "app" in
       let recv = Testbed.user_domain tb "recv" in
@@ -229,14 +228,85 @@ let test_trace_and_spans_one_file () =
         Alcotest.failf "lane (%d, %d) has no thread_name" pid tid)
     events
 
+(* [f ()] with stdout sent to a file; returns the lines printed. *)
+let stdout_lines f =
+  let path = Filename.temp_file "fbufs_stdout" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let lines = In_channel.with_open_bin path In_channel.input_lines in
+  Sys.remove path;
+  lines
+
+(* Each "trace: N events -> F" note counts what F holds: in the Chrome
+   file every non-metadata event, span slices and flow arrows included;
+   in the JSONL file every line. The span sink is installed inside the
+   trace here — the reverse of [run_workload] — and still lands in the
+   Chrome file. *)
+let test_notes_count_file_events () =
+  let chrome = Filename.temp_file "fbufs_trace" ".json" in
+  let jsonl = Filename.temp_file "fbufs_trace" ".jsonl" in
+  let spans = Filename.temp_file "fbufs_spans" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ chrome; jsonl; spans ])
+  @@ fun () ->
+  let notes =
+    stdout_lines (fun () ->
+        Fbufs_harness.Tracing.with_trace ~chrome ~jsonl (fun () ->
+            Fbufs_harness.Spans_run.with_causal_spans ~jsonl:spans (fun () ->
+                ignore
+                  (Fbufs_harness.Exp_fig5.run_one ~uncached:false
+                     ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384
+                     ~window:4 ~nmsgs:4 ()))))
+  in
+  let noted path =
+    List.find_map
+      (fun line ->
+        Scanf.sscanf_opt line "trace: %d events -> %s@ " (fun n p ->
+            if p = path then Some n else None)
+        |> Option.join)
+      notes
+  in
+  let events =
+    match
+      Json.member "traceEvents"
+        (Json.parse (In_channel.with_open_bin chrome In_channel.input_all))
+    with
+    | Some (Json.List evs) -> evs
+    | _ -> Alcotest.fail "traceEvents missing or not a list"
+  in
+  let ph ev =
+    match Json.member "ph" ev with Some (Json.String s) -> s | _ -> ""
+  in
+  let in_chrome = List.length (List.filter (fun ev -> ph ev <> "M") events) in
+  Alcotest.(check bool) "the file holds span slices" true
+    (List.exists (fun ev -> ph ev = "s") events);
+  check
+    Alcotest.(option int)
+    "chrome note = non-metadata events in the file" (Some in_chrome)
+    (noted chrome);
+  check
+    Alcotest.(option int)
+    "jsonl note = lines in the file"
+    (Some (List.length (In_channel.with_open_bin jsonl In_channel.input_lines)))
+    (noted jsonl)
+
 (* ------------------------------------------------------------------ *)
 (* Two hosts                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let with_default_trace trace f =
-  let saved = !Machine.default_trace in
-  Machine.default_trace := trace;
-  Fun.protect ~finally:(fun () -> Machine.default_trace := saved) f
+let with_trace_probe trace f =
+  match trace with
+  | None -> f ()
+  | Some tr -> Machine.with_probe (Trace.probe tr) f
 
 (* Two hosts joined by Osiris, as in the netdev tests: [tx] sends four
    PDUs and holds their source buffers until the link drains, and [rx]
@@ -244,7 +314,7 @@ let with_default_trace trace f =
    while the other holds buffers, and fbuf ids are per machine, so the
    two hosts' ids overlap. Returns both machines. *)
 let osiris_exchange ~trace () =
-  with_default_trace trace (fun () ->
+  with_trace_probe trace (fun () ->
       let des = Des.create () in
       let tb1 = Testbed.create ~name:"tx" ~seed:1 () in
       let tb2 = Testbed.create ~name:"rx" ~seed:2 () in
@@ -316,7 +386,7 @@ let run_workload ~trace () =
     (Stats.snapshot m.stats, Machine.now m, Machine.fresh_id m)
   in
   let single =
-    with_default_trace trace (fun () ->
+    with_trace_probe trace (fun () ->
         let tb = Testbed.create () in
         let app = Testbed.user_domain tb "app" in
         let recv = Testbed.user_domain tb "recv" in
@@ -376,6 +446,8 @@ let () =
           Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
           Alcotest.test_case "trace and spans share one file" `Quick
             test_trace_and_spans_one_file;
+          Alcotest.test_case "notes count the file's events" `Quick
+            test_notes_count_file_events;
         ] );
       ( "zero-overhead",
         [
